@@ -1,10 +1,10 @@
-// Evaluator-fleet utilization: generational barrier vs steady-state engine
-// (see DESIGN.md "Steady-state engine"). Both engines run the FIFO design
-// space on 4 virtual lanes under a heavy-tailed fault plan (25% of runs
-// hang 10x longer, then complete) with the SAME simulated tool-second
+// Evaluator-fleet utilization: barrier vs steady release policy (see
+// DESIGN.md "One loop, two release policies"). Both policies run the FIFO
+// design space on 4 virtual lanes under a heavy-tailed fault plan (25% of
+// runs hang 10x longer, then complete) with the SAME simulated tool-second
 // budget.
-// The batch engine barriers every generation — all lanes idle until the
-// slowest run lands — while the steady engine keeps submitting as lanes
+// The barrier policy closes every generation — all lanes idle until the
+// slowest run lands — while the steady policy keeps submitting as lanes
 // free up. Prints a JSON summary; the committed artifact
 // bench/steady_state_utilization.json is this program's output and the
 // trajectory entry is appended to BENCH_utilization.json per PR.

@@ -61,6 +61,11 @@ echo "== store crash suite: SIGKILL drills + corruption corpus =="
 # durability regression fails loudly with the store suite's own output.
 ctest --preset default -j "$jobs" --timeout 600 -R '^test_store$'
 
+echo "== golden parity: paper-figure, ablation and utilization bench stdout =="
+# Also part of the full ctest run above; repeated as its own leg so a
+# behaviour change in the search loop fails loudly with the bench's name.
+ctest --preset default -j "$jobs" --timeout 600 -L golden
+
 if [[ "$fast" == "1" ]]; then
   echo "== --fast: skipping sanitizer presets =="
   exit 0

@@ -314,11 +314,15 @@ std::size_t EvaluationBroker::run_deadline_chunked(
     pool_->parallel_for(dispatched, end, fn);
     dispatched = end;
   }
+  close_batch(start_seconds);
+  return dispatched;
+}
+
+void EvaluationBroker::close_batch(double start_seconds) {
   util::MutexLock lock(stats_mutex_);
   ++batches_;
   last_batch_tool_seconds_ = tool_seconds_accum_ - start_seconds;
   max_batch_tool_seconds_ = std::max(max_batch_tool_seconds_, last_batch_tool_seconds_);
-  return dispatched;
 }
 
 void EvaluationBroker::parallel_for(std::size_t n,

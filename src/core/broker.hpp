@@ -175,15 +175,20 @@ class EvaluationBroker {
   std::size_t run_deadline_chunked(std::size_t n,
                                    const std::function<void(std::size_t)>& fn);
 
+  /// Account one dispatch batch: the tool seconds charged since
+  /// `start_seconds` are its cost (BrokerStats::batches and the last/max
+  /// batch figures).
+  void close_batch(double start_seconds);
+
   /// Plain parallel dispatch with no deadline check (front verification,
   /// screening sweeps).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Fire-and-forget submission onto the broker's pool (inline when
   /// workers == 0, so inline submission completes before returning). The
-  /// steady-state engine uses this for its continuous submit/complete
-  /// loop; exceptions escaping `fn` are logged, not propagated — the
-  /// caller observes failures through the EvalResult it receives.
+  /// engine's search loop submits every hi-fi evaluation through it;
+  /// exceptions escaping `fn` are logged, not propagated — the caller
+  /// observes failures through the EvalResult it receives.
   void async(std::function<void()> fn);
 
   // ---- Virtual lane clock -------------------------------------------
@@ -191,9 +196,9 @@ class EvaluationBroker {
   // report simulated tool seconds, so "utilization" is meaningless in wall
   // time. The broker therefore keeps a virtual fleet of `virtual_lanes`
   // evaluator lanes and list-schedules every lane-occupying run onto the
-  // earliest-free lane. The batch engine calls lane_barrier() at each
-  // generational sync point (all lanes wait for the slowest); the
-  // steady-state engine never barriers. utilization = busy_seconds /
+  // earliest-free lane. The engine's barrier policy calls lane_barrier()
+  // when it closes a generation (all lanes wait for the slowest); the
+  // steady policy never barriers. utilization = busy_seconds /
   // (makespan * lanes) then measures exactly the idle time the barrier
   // causes. tool_evaluate() stamps EvalResult::virtual_finish for fresh
   // runs automatically.
@@ -210,7 +215,7 @@ class EvaluationBroker {
   [[nodiscard]] double virtual_makespan() const;
 
   /// Append an inflight marker for `point` to the journal (no-op without a
-  /// journal). Called by the steady-state engine at submission; the eval
+  /// journal). Called by the steady policy at submission; the eval
   /// record appended when the answer lands supersedes it. A non-empty
   /// `optimizer` attributes the point to the searcher that asked for it.
   void journal_inflight(const DesignPoint& point, const std::string& optimizer = "");

@@ -19,36 +19,33 @@ namespace dovado::core {
 
 namespace {
 
-constexpr double kFailurePenalty = 1e18;
+/// Objectives of a point that has no usable score (failed, unhedged or
+/// cut by a stop): worse than anything a real design reports.
+opt::Objectives failure_penalty(std::size_t n_objectives) {
+  return opt::Objectives(n_objectives, 1e18);
+}
 
-}  // namespace
-
-/// Adapts the design space + engine to the optimizer's Problem interface.
-class DovadoProblem final : public opt::Problem {
+/// The design space as the searchers' index-space Problem. Genomes are
+/// scored by the engine's submit/complete loop, never through evaluate().
+class SpaceProblem final : public opt::Problem {
  public:
-  DovadoProblem(DseEngine& engine, const DesignSpace& space, std::size_t n_obj)
-      : engine_(engine), space_(space), n_obj_(n_obj) {}
+  SpaceProblem(const DesignSpace& space, std::size_t n_obj) : space_(space), n_obj_(n_obj) {}
 
   [[nodiscard]] std::size_t n_vars() const override { return space_.size(); }
   [[nodiscard]] std::size_t n_objectives() const override { return n_obj_; }
   [[nodiscard]] std::int64_t cardinality(std::size_t var) const override {
     return space_.params[var].domain.size();
   }
-
-  [[nodiscard]] opt::Objectives evaluate(const opt::Genome& genome) override {
-    // Single-genome path (used by baselines); routes through the same
-    // machinery as batch evaluation.
-    std::vector<opt::Individual> one(1);
-    one[0].genome = genome;
-    engine_.batch_evaluate(one);
-    return one[0].objectives;
+  [[nodiscard]] opt::Objectives evaluate(const opt::Genome& /*genome*/) override {
+    throw std::logic_error("design points are scored by DseEngine's submit/complete loop");
   }
 
  private:
-  DseEngine& engine_;
   const DesignSpace& space_;
   std::size_t n_obj_;
 };
+
+}  // namespace
 
 DseEngine::DseEngine(ProjectConfig project, DseConfig config)
     : project_(std::move(project)), config_(std::move(config)) {
@@ -67,8 +64,8 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
     throw std::runtime_error("screen_keep_ratio must be in (0, 1]");
   }
   // Mirrors the CLI's parse-time check: a max_inflight bound only governs
-  // the steady-state submit loop, so setting it on the generational engine
-  // would be silently ignored — fail loudly instead.
+  // the steady policy, so setting it under the barrier policy (one run per
+  // virtual lane) would be silently ignored — fail loudly instead.
   if (config_.max_inflight != 0 && !config_.steady_state) {
     throw std::runtime_error(
         "max_inflight bounds the steady-state submit loop; enable "
@@ -199,22 +196,7 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
   }
 
   // Multi-fidelity screening: a second broker on the low-fidelity backend.
-  // No fault plan, no journal, no deadline — screening answers are cheap,
-  // disposable estimates; only high-fidelity spend is budgeted.
-  if (config_.screen_keep_ratio < 1.0) {
-    ProjectConfig screen_project = project_;
-    screen_project.backend = config_.screen_backend;
-    BrokerConfig screen_config;
-    screen_config.workers = config_.workers;
-    screen_config.supervise = config_.supervise;
-    screen_config.derived_metrics = config_.derived_metrics;
-    // Screen answers are persisted too — under the "screen" tier, so they
-    // can only ever be served back to a screen-tier broker.
-    screen_config.store = store_;
-    screen_config.store_tier = store::EvalStore::kTierScreen;
-    screen_config.campaign_id = config_.campaign_id;
-    screen_broker_ = std::make_unique<EvaluationBroker>(screen_project, screen_config);
-  }
+  if (config_.screen_keep_ratio < 1.0) screen_broker_ = make_low_fidelity_broker();
 
   // Backend health management (see core/health/): a circuit breaker on the
   // high-fidelity backend drives the degradation ladder. Pointless when the
@@ -246,29 +228,9 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
     if (point.failed) seeded.error = "failed in a previous session";
     broker_->seed_cache(point.params, seeded);
     record(point.params, point.metrics, false, point.failed);
-    if (control_ && !point.failed) {
-      bool complete = true;
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        if (point.metrics.values.count(obj.metric) == 0) {
-          complete = false;
-          break;
-        }
-        values.push_back(point.metrics.get(obj.metric));
-      }
-      // Points must also lie inside the current space to be usable as
-      // dataset coordinates.
-      bool in_space = true;
-      for (const auto& spec : config_.space.params) {
-        if (point.params.count(spec.name) == 0) {
-          in_space = false;
-          break;
-        }
-      }
-      if (complete && in_space) {
-        control_->add_sample(to_model_point(point.params), std::move(values));
-      }
+    if (!control_ || point.failed) continue;
+    if (auto values = objective_values(point.params, point.metrics)) {
+      control_->add_sample(to_model_point(point.params), std::move(*values));
     }
   }
 
@@ -286,21 +248,25 @@ EvaluationBroker* DseEngine::hedge_broker() {
   // cache likely holds the hedged points (screen_batch saw them first).
   if (screen_broker_) return screen_broker_.get();
   util::MutexLock lock(hedge_mutex_);
-  if (!owned_hedge_broker_) {
-    ProjectConfig hedge_project = project_;
-    hedge_project.backend = config_.screen_backend;
-    BrokerConfig hedge_config;
-    hedge_config.workers = config_.workers;
-    hedge_config.supervise = config_.supervise;
-    hedge_config.derived_metrics = config_.derived_metrics;
-    // Hedged (degraded) evaluations land in the store under the "screen"
-    // tier: honest answers for the analytic backend, never hi-fi ones.
-    hedge_config.store = store_;
-    hedge_config.store_tier = store::EvalStore::kTierScreen;
-    hedge_config.campaign_id = config_.campaign_id;
-    owned_hedge_broker_ = std::make_unique<EvaluationBroker>(hedge_project, hedge_config);
-  }
+  if (!owned_hedge_broker_) owned_hedge_broker_ = make_low_fidelity_broker();
   return owned_hedge_broker_.get();
+}
+
+std::unique_ptr<EvaluationBroker> DseEngine::make_low_fidelity_broker() const {
+  // No fault plan, no journal, no deadline: low-fidelity answers are cheap,
+  // disposable estimates; only high-fidelity spend is budgeted. They are
+  // persisted under the "screen" store tier, so they can only ever be
+  // served back to a screen-tier broker, never as hi-fi answers.
+  ProjectConfig lofi_project = project_;
+  lofi_project.backend = config_.screen_backend;
+  BrokerConfig lofi;
+  lofi.workers = config_.workers;
+  lofi.supervise = config_.supervise;
+  lofi.derived_metrics = config_.derived_metrics;
+  lofi.store = store_;
+  lofi.store_tier = store::EvalStore::kTierScreen;
+  lofi.campaign_id = config_.campaign_id;
+  return std::make_unique<EvaluationBroker>(std::move(lofi_project), std::move(lofi));
 }
 
 void DseEngine::enqueue_probe(const DesignPoint& point) {
@@ -334,25 +300,12 @@ void DseEngine::run_probe_queue() {
       probe_queue_.push_front(std::move(point));
       return;
     }
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (r.cache_hit) ++stats_.cache_hits;
-      else if (r.joined) ++stats_.single_flight_joins;
-      else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
-      if (!r.ok) ++stats_.failures;
-    }
+    count_answer(r);
     if (!r.ok) continue;  // breaker handles the re-trip; the point is not recorded
     // A probe success is a paid-for exact answer: record it (superseding
     // any hedged estimate for the point) and grow the dataset.
     record(point, r.metrics, false, false);
-    if (control_ && !r.cache_hit && !r.joined) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(r.metrics.get(obj.metric));
-      }
-      control_->add_sample(to_model_point(point), values);
-    }
+    if (control_ && !r.cache_hit && !r.joined) learn(point, r.metrics);
   }
 }
 
@@ -361,30 +314,12 @@ void DseEngine::absorb_replayed(const std::vector<JournalRecord>& records) {
     record(rec.params, rec.metrics, false, !rec.ok);
     // Rebuild the approximation dataset the way the original run grew it,
     // so a resumed model-guided exploration makes the same decisions.
-    if (control_ && rec.ok) {
-      bool in_space = true;
-      for (const auto& spec : config_.space.params) {
-        if (rec.params.count(spec.name) == 0) {
-          in_space = false;
-          break;
-        }
-      }
-      bool complete = true;
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        if (rec.metrics.values.count(obj.metric) == 0) {
-          complete = false;
-          break;
-        }
-        values.push_back(rec.metrics.get(obj.metric));
-      }
-      if (in_space && complete) {
-        model::Point coords = to_model_point(rec.params);
-        if (!control_->dataset().find_exact(coords)) {
-          control_->add_sample(std::move(coords), std::move(values));
-        }
-      }
+    if (!control_ || !rec.ok) continue;
+    auto values = objective_values(rec.params, rec.metrics);
+    if (!values) continue;
+    model::Point coords = to_model_point(rec.params);
+    if (!control_->dataset().find_exact(coords)) {
+      control_->add_sample(std::move(coords), std::move(*values));
     }
   }
 }
@@ -466,6 +401,49 @@ model::Point DseEngine::to_model_point(const DesignPoint& point) const {
   return p;
 }
 
+std::optional<model::Values> DseEngine::objective_values(const DesignPoint& point,
+                                                         const EvalMetrics& metrics) const {
+  for (const auto& spec : config_.space.params) {
+    if (point.count(spec.name) == 0) return std::nullopt;
+  }
+  model::Values values;
+  values.reserve(config_.objectives.size());
+  for (const auto& obj : config_.objectives) {
+    if (metrics.values.count(obj.metric) == 0) return std::nullopt;
+    values.push_back(metrics.get(obj.metric));
+  }
+  return values;
+}
+
+void DseEngine::learn(const DesignPoint& point, const EvalMetrics& metrics) {
+  model::Values values;
+  values.reserve(config_.objectives.size());
+  for (const auto& obj : config_.objectives) values.push_back(metrics.get(obj.metric));
+  control_->add_sample(to_model_point(point), std::move(values));
+}
+
+EvalMetrics DseEngine::estimate_metrics(const DesignPoint& point) const {
+  const model::Values est = control_->estimate(to_model_point(point));
+  EvalMetrics metrics;
+  for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
+    metrics.values[config_.objectives[k].metric] = est[k];
+  }
+  return metrics;
+}
+
+void DseEngine::bump(std::size_t DseStats::*counter) {
+  util::MutexLock lock(stats_mutex_);
+  ++(stats_.*counter);
+}
+
+void DseEngine::count_answer(const EvalResult& r) {
+  util::MutexLock lock(stats_mutex_);
+  if (r.cache_hit) ++stats_.cache_hits;
+  else if (r.joined) ++stats_.single_flight_joins;
+  else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
+  if (!r.ok) ++stats_.failures;
+}
+
 void DseEngine::record(const DesignPoint& point, const EvalMetrics& metrics, bool estimated,
                        bool failed, bool approximate) {
   util::MutexLock lock(record_mutex_);
@@ -529,26 +507,14 @@ void DseEngine::pretrain() {
     // A fast-failed pretrain sample never ran: it is neither a pretrain
     // run nor a statement about the point.
     if (results[i].fast_failed) continue;
-    {
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.pretrain_runs;
-    }
+    bump(&DseStats::pretrain_runs);
     if (!results[i].ok) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
+      bump(&DseStats::failures);
       record(points[i], results[i].metrics, false, true);
       continue;
     }
-    model::Point coords = to_model_point(points[i]);
-    if (!control_->dataset().find_exact(coords)) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(results[i].metrics.get(obj.metric));
-      }
-      control_->add_sample(std::move(coords), std::move(values));
+    if (!control_->dataset().find_exact(to_model_point(points[i]))) {
+      learn(points[i], results[i].metrics);
     }
     record(points[i], results[i].metrics, false, false);
   }
@@ -630,241 +596,63 @@ std::vector<std::optional<EvalResult>> DseEngine::screen_batch(
   return settled;
 }
 
-std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals) {
-  std::size_t scored = 0;  ///< individuals that consumed a genuine evaluation
-  struct PendingTool {
-    std::size_t individual;
-    std::size_t unique_index;  ///< into unique_points
-  };
-  std::vector<PendingTool> queue;
-  // Identical genomes in one batch collapse onto a single tool run up
-  // front (deterministic single-flight); the cache-level single-flight
-  // additionally covers duplicates that only meet in flight (concurrent
-  // engine entry points sharing the evaluation cache).
-  std::vector<DesignPoint> unique_points;
-  std::map<DesignPoint, std::size_t> unique_index;
-
-  for (std::size_t i = 0; i < individuals.size(); ++i) {
-    auto& ind = individuals[i];
-    if (ind.evaluated) continue;
-    {
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.ga_evaluations;
-    }
-    DesignPoint point = config_.space.decode(ind.genome);
-
-    if (control_) {
-      const model::Decision decision = control_->decide_and_count(to_model_point(point));
-      if (decision == model::Decision::kEstimate) {
-        const model::Values est = control_->estimate(to_model_point(point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        ind.objectives = to_objectives(metrics);
-        ind.evaluated = true;
-        ++scored;
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.estimates;
-        }
-        record(point, metrics, true, false);
-        continue;
-      }
-      // kCachedTool and kToolAndAdd both invoke the tool; the evaluation
-      // cache answers instantly for the former.
-    }
-    const auto [it, inserted] = unique_index.try_emplace(point, unique_points.size());
-    if (inserted) unique_points.push_back(std::move(point));
-    queue.push_back(PendingTool{i, it->second});
-  }
-
-  // Multi-fidelity screening: pre-rank the batch's fresh points on the
-  // low-fidelity broker; unpromising ones are settled with their screening
-  // answer and never reach the high-fidelity tool. Skipped once the
-  // deadline passed — the batch is about to be cut anyway.
-  std::vector<std::optional<EvalResult>> settled(unique_points.size());
-  if (screen_broker_ && !broker_->deadline_exceeded()) {
-    settled = screen_batch(unique_points);
-  }
-  constexpr std::size_t kNotForwarded = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> forward;  ///< unique indices sent to high fidelity
-  std::vector<std::size_t> forward_pos(unique_points.size(), kNotForwarded);
-  for (std::size_t ui = 0; ui < unique_points.size(); ++ui) {
-    if (settled[ui]) continue;
-    forward_pos[ui] = forward.size();
-    forward.push_back(ui);
-  }
-
-  std::vector<EvalResult> results(forward.size());
-  const std::size_t dispatched =
-      broker_->run_deadline_chunked(forward.size(), [&](std::size_t fi) {
-        results[fi] = broker_->tool_evaluate(unique_points[forward[fi]]);
-      });
-
-  // Degraded rung of the availability ladder: points the open breaker
-  // fast-failed are *hedged* — evaluated on the analytic tier right away
-  // (scored below, flagged approximate) — and remembered as probe
-  // candidates so recovery is tested on points the search actually wants.
-  std::map<std::size_t, EvalResult> hedged;
+opt::Objectives DseEngine::settle(const DesignPoint& point, const EvalResult& screen) {
+  // Sticky screen-outs re-settle every time the search resamples the
+  // point; only the first settle counts.
+  bool first_settle;
   {
-    std::vector<std::size_t> hedge_ui;
-    for (std::size_t fi = 0; fi < dispatched; ++fi) {
-      if (results[fi].fast_failed) hedge_ui.push_back(forward[fi]);
-    }
-    if (!hedge_ui.empty()) {
-      EvaluationBroker* hedger = hedge_broker();
-      std::vector<EvalResult> hedge_results(hedge_ui.size());
-      hedger->parallel_for(hedge_ui.size(), [&](std::size_t i) {
-        hedge_results[i] = hedger->tool_evaluate(unique_points[hedge_ui[i]]);
-      });
-      for (std::size_t i = 0; i < hedge_ui.size(); ++i) {
-        enqueue_probe(unique_points[hedge_ui[i]]);
-        hedged.emplace(hedge_ui[i], std::move(hedge_results[i]));
-      }
-    }
+    util::MutexLock lock(record_mutex_);
+    first_settle = explored_index_.find(point) == explored_index_.end();
   }
+  if (first_settle) bump(&DseStats::screened_out);
+  // The screen backend reports the same metric names, so objectives and
+  // derived metrics line up.
+  record(point, screen.metrics, true, false);
+  return to_objectives(screen.metrics);
+}
 
-  std::vector<bool> leader_done(unique_points.size(), false);
-  for (const auto& pending : queue) {
-    auto& ind = individuals[pending.individual];
-    const std::size_t ui = pending.unique_index;
-    const DesignPoint& point = unique_points[ui];
-
-    if (settled[ui]) {
-      // Screened out: the low-fidelity answer scores the individual and the
-      // point is recorded as estimated (the screen backend reports the same
-      // metric names, so objectives and derived metrics line up).
-      ind.objectives = to_objectives(settled[ui]->metrics);
-      ind.evaluated = true;
-      ++scored;
-      if (!leader_done[ui]) {
-        leader_done[ui] = true;
-        bool first_settle;
-        {
-          // Sticky screen-outs re-settle on every later batch that
-          // resamples the point; only the first settle counts.
-          util::MutexLock lock(record_mutex_);
-          first_settle = explored_index_.find(point) == explored_index_.end();
-        }
-        if (first_settle) {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.screened_out;
-        }
-      }
-      record(point, settled[ui]->metrics, true, false);
-      continue;
+DseEngine::Scored DseEngine::resolve(const DesignPoint& point, const EvalResult& r) {
+  if (r.fast_failed) {
+    // Degraded rung of the availability ladder: the open breaker never
+    // touched the hi-fi backend. Hedge on the analytic tier right away and
+    // remember the point as a probe candidate, so recovery is tested on
+    // points the search actually wants. The hedge is recorded estimated +
+    // approximate, so front verification re-verifies it hi-fi once the
+    // backend recovers. Hedged answers cost no hi-fi tool seconds: the
+    // searcher is not billed for a fast-fail it did not cause.
+    const EvalResult hedge = hedge_broker()->tool_evaluate(point);
+    enqueue_probe(point);
+    if (!hedge.ok) {
+      // No hedge answer either: penalize, but do not record — nothing
+      // ever evaluated the point.
+      bump(&DseStats::failures);
+      return {failure_penalty(config_.objectives.size()), 0.0};
     }
-
-    if (forward_pos[ui] >= dispatched) {
-      // The mid-batch deadline cut dispatch before this point ran. Penalize
-      // the individual so the generation can still close (the GA's
-      // should_stop sees the deadline right after), and leave it out of the
-      // explored set — it was never actually evaluated.
-      ind.objectives.assign(config_.objectives.size(), kFailurePenalty);
-      ind.evaluated = true;
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.deadline_skips;
-      continue;
-    }
-    EvalResult r = results[forward_pos[ui]];
-    if (r.fast_failed) {
-      // Breaker open: the hi-fi backend was never touched. Score from the
-      // hedge answer when the analytic tier delivered one; the point is
-      // recorded estimated + approximate so the verification loop
-      // re-verifies it hi-fi once (if) the backend recovers.
-      const auto hedge_it = hedged.find(ui);
-      if (hedge_it != hedged.end() && hedge_it->second.ok) {
-        ind.objectives = to_objectives(hedge_it->second.metrics);
-        ind.evaluated = true;
-        ++scored;
-        if (!leader_done[ui]) {
-          leader_done[ui] = true;
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.degraded_evals;
-        }
-        record(point, hedge_it->second.metrics, /*estimated=*/true, /*failed=*/false,
-               /*approximate=*/true);
-      } else {
-        // No hedge tier answer either: penalize but do not record — the
-        // point was never actually evaluated by anything.
-        ind.objectives.assign(config_.objectives.size(), kFailurePenalty);
-        ind.evaluated = true;
-        leader_done[ui] = true;
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      continue;
-    }
-    if (leader_done[ui] && !r.cache_hit) {
-      // A duplicate of an earlier individual in this batch: it joins the
-      // leader's run instead of paying for the tool again.
-      r.joined = true;
-      r.tool_seconds = 0.0;
-    }
-    leader_done[ui] = true;
-    ++scored;  // every remaining branch scores from a consumed evaluation
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (r.cache_hit) ++stats_.cache_hits;
-      else if (r.joined) ++stats_.single_flight_joins;
-      else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
-    }
-
-    if (!r.ok) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      // Graceful degradation: a quarantined point (the tool kept failing,
-      // not a property of the design) is scored with an NWM estimate when
-      // the dataset can support one, instead of the +inf penalty that
-      // would punch a hole in the front.
-      if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
-          control_->dataset().size() >= config_.approx_fallback_min_samples) {
-        const model::Values est = control_->estimate(to_model_point(point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        ind.objectives = to_objectives(metrics);
-        ind.evaluated = true;
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.approx_fallbacks;
-        }
-        record(point, metrics, false, false, /*approximate=*/true);
-        continue;
-      }
-      ind.objectives.assign(config_.objectives.size(), kFailurePenalty);
-      ind.evaluated = true;
-      record(point, r.metrics, false, true);
-      continue;
-    }
-    ind.objectives = to_objectives(r.metrics);
-    ind.evaluated = true;
-    record(point, r.metrics, false, false);
-
-    if (control_ && !r.cache_hit && !r.joined) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(r.metrics.get(obj.metric));
-      }
-      control_->add_sample(to_model_point(point), values);
-    }
+    if (!r.joined) bump(&DseStats::degraded_evals);  // once per point, not per duplicate
+    record(point, hedge.metrics, /*estimated=*/true, /*failed=*/false, /*approximate=*/true);
+    return {to_objectives(hedge.metrics), 0.0};
   }
-
-  // The generational barrier, made visible to the virtual lane clock: every
-  // idle lane waits here for the slowest run of the batch — exactly the
-  // idle time the steady-state engine eliminates.
-  broker_->lane_barrier();
-
-  // Recovery rung: after every batch the probe queue re-tries a bounded
-  // number of fast-failed points against the hi-fi tier (once the
-  // breaker's cooldown admits probes). Probe successes close the breaker.
-  run_probe_queue();
-  return scored;
+  count_answer(r);
+  if (!r.ok) {
+    // Graceful degradation: a quarantined point (the tool kept failing,
+    // not a property of the design) is scored with an NWM estimate when
+    // the dataset can support one, instead of the penalty that would
+    // punch a hole in the front.
+    if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
+        control_->dataset().size() >= config_.approx_fallback_min_samples) {
+      const EvalMetrics metrics = estimate_metrics(point);
+      bump(&DseStats::approx_fallbacks);
+      record(point, metrics, false, false, /*approximate=*/true);
+      return {to_objectives(metrics), r.tool_seconds};
+    }
+    record(point, r.metrics, false, true);
+    return {failure_penalty(config_.objectives.size()), r.tool_seconds};
+  }
+  record(point, r.metrics, false, false);
+  if (control_ && !r.cache_hit && !r.joined) learn(point, r.metrics);
+  // Fresh runs bill their tool seconds to the searcher that asked; cache
+  // and store hits were already paid for.
+  return {to_objectives(r.metrics), r.cache_hit || r.joined || r.store_hit ? 0.0 : r.tool_seconds};
 }
 
 std::vector<ExploredPoint> DseEngine::evaluate_set(const std::vector<DesignPoint>& points) {
@@ -883,8 +671,7 @@ std::vector<ExploredPoint> DseEngine::evaluate_set(const std::vector<DesignPoint
       // Cut by the mid-batch deadline: reported as failed, not recorded.
       ep.failed = true;
       out.push_back(std::move(ep));
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.deadline_skips;
+      bump(&DseStats::deadline_skips);
       continue;
     }
     if (results[i].fast_failed) {
@@ -922,42 +709,35 @@ void DseEngine::run_preflight() {
   }
 }
 
-void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
-  // The engine drives the searcher through the ask/tell Optimizer interface
-  // only — which concrete algorithm runs (nsga2, random, local, surrogate,
-  // exhaustive, or the bandit portfolio) is resolved by name through the
-  // registry, so new searchers plug in without touching this loop.
-  opt::OptimizerContext opt_ctx;
-  opt_ctx.problem = &problem;
-  opt_ctx.ga = ga;
-  opt_ctx.portfolio_members = config_.portfolio_members;
-  opt_ctx.surrogate = [this](const opt::Genome& genome) -> std::optional<opt::Objectives> {
-    // NWM estimates back the surrogate-guided sampler; without enough
-    // samples the model has nothing to say and the sampler degrades to
-    // random search.
-    if (!control_ || control_->dataset().size() < 2) return std::nullopt;
-    const DesignPoint point = config_.space.decode(genome);
-    const model::Values est = control_->estimate(to_model_point(point));
-    EvalMetrics metrics;
-    for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-      metrics.values[config_.objectives[k].metric] = est[k];
-    }
-    return to_objectives(metrics);
+void DseEngine::search(opt::Problem& problem, const opt::Nsga2Config& ga) {
+  // The searcher. The barrier policy runs the paper's generational
+  // NSGA-II; the steady policy resolves any registered ask/tell optimizer
+  // (nsga2, random, local, surrogate, exhaustive, or the bandit portfolio)
+  // by name, so new searchers plug in without touching this loop.
+  const bool barrier = !config_.steady_state;
+  std::optional<opt::GenerationalNsga2> generational;
+  std::unique_ptr<opt::Optimizer> searcher;
+  if (barrier) {
+    generational.emplace(ga, problem);
+  } else {
+    opt::OptimizerContext opt_ctx;
+    opt_ctx.problem = &problem;
+    opt_ctx.ga = ga;
+    opt_ctx.portfolio_members = config_.portfolio_members;
+    opt_ctx.surrogate = [this](const opt::Genome& genome) -> std::optional<opt::Objectives> {
+      // NWM estimates back the surrogate-guided sampler; without enough
+      // samples the model has nothing to say and the sampler degrades to
+      // random search.
+      if (!control_ || control_->dataset().size() < 2) return std::nullopt;
+      return to_objectives(estimate_metrics(config_.space.decode(genome)));
+    };
+    searcher = opt::OptimizerRegistry::create(config_.optimizer, opt_ctx);
+  }
+  auto tell = [&](const opt::Genome& genome, const opt::Objectives& objectives,
+                  double cost_seconds) {
+    if (barrier) generational->tell(genome, objectives);
+    else searcher->tell(genome, objectives, cost_seconds);
   };
-  const std::unique_ptr<opt::Optimizer> searcher_ptr =
-      opt::OptimizerRegistry::create(config_.optimizer, opt_ctx);
-  opt::Optimizer& searcher = *searcher_ptr;
-
-  // Equal-budget semantics vs the generational engine: pop * (gens + 1)
-  // completions is exactly what max_generations full batches plus the
-  // initial population would have requested.
-  const std::size_t budget =
-      config_.steady_state_evaluations != 0
-          ? config_.steady_state_evaluations
-          : ga.population_size * (ga.max_generations + 1);
-  const std::size_t max_inflight = std::max<std::size_t>(
-      1, config_.max_inflight != 0 ? config_.max_inflight
-                                   : broker_->virtual_lane_count());
 
   auto user_stop = config_.ga.should_stop;
   auto should_stop = [&] {
@@ -968,141 +748,228 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
     return user_stop ? user_stop() : false;
   };
 
+  // NWM rung of the admission ladder, shared by both policies: when the
+  // control model answers for the point, the estimate is recorded and told
+  // back at once and the point never reaches a broker.
+  auto estimated = [&](const opt::Genome& genome, const DesignPoint& point) {
+    if (!control_ ||
+        control_->decide_and_count(to_model_point(point)) != model::Decision::kEstimate) {
+      return false;  // kCachedTool and kToolAndAdd both go to the tool
+    }
+    const EvalMetrics metrics = estimate_metrics(point);
+    bump(&DseStats::estimates);
+    record(point, metrics, true, false);
+    tell(genome, to_objectives(metrics), 0.0);
+    return true;
+  };
+
   // One submitted evaluation awaiting its broker answer. `result` is
   // written by the pool task and read by the control loop only after the
   // completion is published into `ready` under `mu`.
   struct Inflight {
     std::size_t seq = 0;
+    std::size_t slot = 0;  ///< barrier policy: dispatch slot in the generation
     opt::Genome genome;
     DesignPoint point;
     EvalResult result;
   };
-  util::Mutex mu("DseEngine.steady");
+  util::Mutex mu("DseEngine.search");
   util::CondVar cv;
   std::vector<std::shared_ptr<Inflight>> ready;  // guarded by mu (local: not annotatable)
-
-  // Per-completion sticky screening. The batch engine ranks a whole
-  // offspring batch and forwards its best keep_ratio fraction; with no
-  // batch to rank, each screen answer is compared against a sliding window
-  // of recent ones and forwarded iff fewer than keep_ratio of them
-  // dominate it — the same top-fraction intent, thresholded on domination
-  // count. Screen-outs stay sticky through the screen broker's cache
-  // exactly as in the batch path.
-  std::deque<opt::Objectives> screen_window;
-  const std::size_t window_cap = std::max<std::size_t>(4 * ga.population_size, 16);
-
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
   std::size_t inflight = 0;
   std::size_t seq = 0;
 
-  // Resolve one broker answer — the per-individual scoring of the batch
-  // engine (hedge, quarantine fallback, penalties) followed by a (mu+1)
-  // tell. Runs on the control thread only.
-  auto resolve = [&](const Inflight& c) {
-    const EvalResult& r = c.result;
-    opt::Objectives objectives;
-    if (r.fast_failed) {
-      // Breaker open: hedge on the analytic tier right away and remember
-      // the point as a probe candidate (recorded estimated + approximate so
-      // front verification re-verifies it hi-fi after recovery).
-      EvaluationBroker* hedger = hedge_broker();
-      const EvalResult hedge = hedger->tool_evaluate(c.point);
-      enqueue_probe(c.point);
-      if (hedge.ok) {
-        objectives = to_objectives(hedge.metrics);
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.degraded_evals;
-        }
-        record(c.point, hedge.metrics, /*estimated=*/true, /*failed=*/false,
-               /*approximate=*/true);
-      } else {
-        objectives.assign(config_.objectives.size(), kFailurePenalty);
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      // Hedged answers cost no hi-fi tool seconds; the bandit should not
-      // bill the asking member for a fast-fail it did not cause.
-      searcher.tell(c.genome, objectives, 0.0);
-      return;
-    }
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (r.cache_hit) ++stats_.cache_hits;
-      else if (r.joined) ++stats_.single_flight_joins;
-      else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
-    }
-    if (!r.ok) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
-          control_->dataset().size() >= config_.approx_fallback_min_samples) {
-        const model::Values est = control_->estimate(to_model_point(c.point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        objectives = to_objectives(metrics);
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.approx_fallbacks;
-        }
-        record(c.point, metrics, false, false, /*approximate=*/true);
-      } else {
-        objectives.assign(config_.objectives.size(), kFailurePenalty);
-        record(c.point, r.metrics, false, true);
-      }
-      searcher.tell(c.genome, objectives, r.tool_seconds);
-      return;
-    }
-    objectives = to_objectives(r.metrics);
-    record(c.point, r.metrics, false, false);
-    if (control_ && !r.cache_hit && !r.joined) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(r.metrics.get(obj.metric));
-      }
-      control_->add_sample(to_model_point(c.point), values);
-    }
-    // Fresh runs bill their tool seconds to the member that asked; cache
-    // and store hits were already paid for.
-    searcher.tell(c.genome, objectives,
-                  r.cache_hit || r.joined || r.store_hit ? 0.0 : r.tool_seconds);
+  auto submit = [&](opt::Genome genome, DesignPoint point, std::size_t slot) {
+    auto flight = std::make_shared<Inflight>();
+    flight->seq = seq++;
+    flight->slot = slot;
+    flight->genome = std::move(genome);
+    flight->point = std::move(point);
+    ++inflight;
+    broker_->async([this, flight, &mu, &cv, &ready] {
+      flight->result = broker_->tool_evaluate(flight->point);
+      // Notify while holding the lock: the control loop cannot pop this
+      // completion (and then return, destroying mu/cv) until this task has
+      // released the mutex — by which point it no longer touches either.
+      util::MutexLock lock(mu);
+      ready.push_back(flight);
+      cv.notify_one();
+    });
   };
 
-  // Submit one genome. Returns true when the point went to the broker
-  // (occupies an inflight slot); estimates and screen settles resolve
-  // synchronously and are told back immediately. `direct` bypasses the
-  // estimate/screen ladder — replayed inflight points were already
-  // committed to high fidelity by the crashed campaign.
-  auto submit_one = [&](opt::Genome genome, bool direct) -> bool {
-    {
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.ga_evaluations;
-    }
-    DesignPoint point = config_.space.decode(genome);
-
-    if (control_ && !direct) {
-      const model::Decision decision = control_->decide_and_count(to_model_point(point));
-      if (decision == model::Decision::kEstimate) {
-        const model::Values est = control_->estimate(to_model_point(point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.estimates;
-        }
-        record(point, metrics, true, false);
-        searcher.tell(genome, to_objectives(metrics));
-        return false;
+  // Pop the earliest virtual finish (sequence number breaks ties and
+  // orders zero-cost answers). Inline mode resolves every submission at
+  // submit time, so this pop order exactly replays the virtual fleet's
+  // completion schedule; under real threads it is the closest
+  // deterministic-given-completion-order approximation.
+  auto next_completion = [&] {
+    util::MutexLock lock(mu);
+    while (ready.empty()) cv.wait(mu);
+    auto best = ready.begin();
+    for (auto it = std::next(ready.begin()); it != ready.end(); ++it) {
+      if ((*it)->result.virtual_finish < (*best)->result.virtual_finish ||
+          ((*it)->result.virtual_finish == (*best)->result.virtual_finish &&
+           (*it)->seq < (*best)->seq)) {
+        best = it;
       }
     }
+    std::shared_ptr<Inflight> next = *best;
+    ready.erase(best);
+    --inflight;
+    return next;
+  };
+
+  // ---- Barrier policy ----------------------------------------------------
+  // A generation is admitted whole (NWM decisions for every member, then
+  // screening of its unique points), dispatched with at most one run per
+  // virtual lane, and resolved in submission order once its last answer
+  // lands, so dataset growth and the explored set see a sequential run's
+  // order. Closing it is the generational barrier: lane_barrier() makes
+  // idle virtual lanes wait for the slowest run, then probes run. It
+  // journals no inflight markers: a fixed-seed resume regenerates the same
+  // generation and repays nothing the journal already holds.
+  struct Member {
+    std::size_t genome;  ///< index into Generation::genomes
+    std::size_t point;   ///< index into Generation::points
+  };
+  struct Generation {
+    bool open = false;
+    std::vector<opt::Genome> genomes;  ///< as asked
+    std::vector<Member> pending;       ///< members not answered at admission, in ask order
+    std::vector<DesignPoint> points;   ///< unique points of `pending`
+    std::vector<std::optional<EvalResult>> settled;  ///< per point: settling screen answer
+    std::vector<std::size_t> slot;     ///< per point: dispatch slot (if not settled)
+    std::vector<std::size_t> forward;  ///< points sent to high fidelity, by slot
+    std::vector<EvalResult> answers;   ///< per slot
+    std::size_t submitted = 0;         ///< slots submitted so far
+    bool cut = false;                  ///< should_stop() ended dispatch early
+    double start_seconds = 0.0;        ///< hi-fi tool seconds at admission
+  } gen;
+  const std::size_t lanes = std::max<std::size_t>(1, broker_->virtual_lane_count());
+  bool initial_generation = true;
+
+  auto open_generation = [&] {
+    gen = Generation{};
+    gen.open = true;
+    gen.genomes = generational->ask();
+    // Identical genomes collapse onto one submission (deterministic
+    // single-flight); the duplicates join their leader at resolution.
+    std::map<DesignPoint, std::size_t> unique;
+    for (std::size_t i = 0; i < gen.genomes.size(); ++i) {
+      bump(&DseStats::ga_evaluations);
+      DesignPoint point = config_.space.decode(gen.genomes[i]);
+      if (estimated(gen.genomes[i], point)) continue;
+      const auto [it, inserted] = unique.try_emplace(point, gen.points.size());
+      if (inserted) gen.points.push_back(std::move(point));
+      gen.pending.push_back({i, it->second});
+    }
+    // Multi-fidelity screening pre-ranks the generation's fresh points on
+    // the low-fidelity broker; unpromising ones settle with their
+    // screening answer and never reach the high-fidelity tool. Skipped
+    // once the deadline passed: dispatch is about to be cut anyway.
+    gen.settled.assign(gen.points.size(), std::nullopt);
+    if (screen_broker_ && !broker_->deadline_exceeded()) gen.settled = screen_batch(gen.points);
+    gen.slot.assign(gen.points.size(), 0);
+    for (std::size_t p = 0; p < gen.points.size(); ++p) {
+      if (gen.settled[p]) continue;
+      gen.slot[p] = gen.forward.size();
+      gen.forward.push_back(p);
+    }
+    gen.answers.resize(gen.forward.size());
+    gen.start_seconds = broker_->tool_seconds();
+  };
+
+  auto close_generation = [&] {
+    std::vector<char> led(gen.points.size(), 0);
+    for (const Member& member : gen.pending) {
+      const opt::Genome& genome = gen.genomes[member.genome];
+      const DesignPoint& point = gen.points[member.point];
+      if (gen.settled[member.point]) {
+        tell(genome, settle(point, *gen.settled[member.point]), 0.0);
+        continue;
+      }
+      const std::size_t slot = gen.slot[member.point];
+      if (slot >= gen.submitted) {
+        // should_stop() ended dispatch before this point ran. The failure
+        // penalty lets the generation close; the point stays out of the
+        // explored set, since nothing evaluated it.
+        bump(&DseStats::deadline_skips);
+        tell(genome, failure_penalty(config_.objectives.size()), 0.0);
+        continue;
+      }
+      EvalResult r = gen.answers[slot];
+      if (led[member.point] && !r.cache_hit) {
+        // A duplicate of an earlier member joins the leader's run instead
+        // of paying for the tool again.
+        r.joined = true;
+        r.tool_seconds = 0.0;
+      }
+      led[member.point] = 1;
+      const Scored scored = resolve(point, r);
+      tell(genome, scored.objectives, scored.cost_seconds);
+    }
+    broker_->close_batch(gen.start_seconds);
+    broker_->lane_barrier();
+    // Recovery rung: after every generation the probe queue re-tries a
+    // bounded number of fast-failed points against the hi-fi tier (once
+    // the breaker's cooldown admits probes).
+    run_probe_queue();
+    gen.open = false;
+  };
+
+  // Returns false once no generation is left to release.
+  auto release_generation = [&] {
+    while (true) {
+      if (!gen.open) {
+        // Between generations the GA polls its stop condition, as in the
+        // paper's solver; the initial population is always released.
+        if (generational->done() || (!initial_generation && should_stop())) return false;
+        initial_generation = false;
+        open_generation();
+      }
+      while (!gen.cut && gen.submitted < gen.forward.size() && inflight < lanes) {
+        if (should_stop()) {
+          gen.cut = true;
+          break;
+        }
+        submit({}, gen.points[gen.forward[gen.submitted]], gen.submitted);
+        ++gen.submitted;
+      }
+      if (inflight != 0) return true;
+      close_generation();  // every dispatched answer has landed
+    }
+  };
+
+  // ---- Steady policy -----------------------------------------------------
+  // Up to max_inflight evaluations stay in the air; each completion is
+  // resolved at once in (virtual_finish, seq) order, followed by (mu+1)
+  // survival inside the searcher and a probe round — no barrier anywhere.
+  // The budget counts completions (estimates and screen settles included):
+  // 0 = population * (generations + 1), the barrier policy's budget.
+  const std::size_t budget = config_.steady_state_evaluations != 0
+                                 ? config_.steady_state_evaluations
+                                 : ga.population_size * (ga.max_generations + 1);
+  const std::size_t max_inflight = config_.max_inflight != 0 ? config_.max_inflight : lanes;
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  bool stop_submission = false;
+
+  // Per-completion sticky screening. With no generation to rank, each
+  // screen answer is compared against a sliding window of recent ones and
+  // forwarded iff fewer than keep_ratio of them dominate it — the barrier
+  // policy's top-fraction intent, thresholded on domination count.
+  // Screen-outs stay sticky through the screen broker's cache.
+  std::deque<opt::Objectives> screen_window;
+  const std::size_t window_cap = std::max<std::size_t>(4 * ga.population_size, 16);
+
+  // Admit one asked genome; returns true when it went to the broker (it
+  // occupies an inflight slot). `direct` bypasses the estimate/screen
+  // ladder: replayed inflight points were already committed to high
+  // fidelity by the crashed campaign.
+  auto admit = [&](opt::Genome genome, bool direct) {
+    bump(&DseStats::ga_evaluations);
+    DesignPoint point = config_.space.decode(genome);
+    if (!direct && estimated(genome, point)) return false;
 
     const bool hifi_cached = broker_->cached(point).has_value();
     if (screen_broker_ && !direct && !hifi_cached && !broker_->deadline_exceeded()) {
@@ -1110,10 +977,10 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
       // lost the forwarding lottery; it settles again without re-entering.
       const auto prior = screen_broker_->cached(point);
       EvalResult screen;
-      bool settle = false;
+      bool settle_now = false;
       if (prior && prior->ok) {
         screen = *prior;
-        settle = true;
+        settle_now = true;
       } else if (!prior) {
         screen = screen_broker_->tool_evaluate(point);
         if (screen.ok) {
@@ -1123,9 +990,9 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
             for (const auto& w : screen_window) {
               if (opt::dominates(w, sobj)) ++dominating;
             }
-            settle = static_cast<double>(dominating) >=
-                     config_.screen_keep_ratio *
-                         static_cast<double>(screen_window.size());
+            settle_now = static_cast<double>(dominating) >=
+                         config_.screen_keep_ratio *
+                             static_cast<double>(screen_window.size());
           }
           screen_window.push_back(sobj);
           if (screen_window.size() > window_cap) screen_window.pop_front();
@@ -1133,18 +1000,8 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
         // Screen failures always forward — the high-fidelity tool has the
         // authoritative verdict on buildability.
       }
-      if (settle) {
-        bool first_settle;
-        {
-          util::MutexLock lock(record_mutex_);
-          first_settle = explored_index_.find(point) == explored_index_.end();
-        }
-        if (first_settle) {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.screened_out;
-        }
-        record(point, screen.metrics, true, false);
-        searcher.tell(genome, to_objectives(screen.metrics));
+      if (settle_now) {
+        tell(genome, settle(point, screen), 0.0);
         return false;
       }
     }
@@ -1153,22 +1010,9 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
     // submission crash-safe: a campaign that dies here re-submits the
     // point exactly once on resume (the eval record supersedes it), and the
     // optimizer attribution routes the replayed answer back to the member
-    // that asked for the point.
-    if (!hifi_cached) broker_->journal_inflight(point, searcher.attributed_to(genome));
-    auto slot = std::make_shared<Inflight>();
-    slot->seq = seq++;
-    slot->genome = std::move(genome);
-    slot->point = std::move(point);
-    ++inflight;
-    broker_->async([this, slot, &mu, &cv, &ready] {
-      slot->result = broker_->tool_evaluate(slot->point);
-      // Notify while holding the lock: the control loop cannot pop this
-      // completion (and then return, destroying mu/cv) until this task has
-      // released the mutex — by which point it no longer touches either.
-      util::MutexLock lock(mu);
-      ready.push_back(slot);
-      cv.notify_one();
-    });
+    // that asked for it.
+    if (!hifi_cached) broker_->journal_inflight(point, searcher->attributed_to(genome));
+    submit(std::move(genome), std::move(point), 0);
     return true;
   };
 
@@ -1177,172 +1021,130 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
   // reserve_for restores the recorded attribution so the eventual tell()
   // lands on the portfolio member that originally asked.
   std::deque<opt::Genome> replay;
-  for (const InflightMark& mark : broker_->replayed_inflight()) {
-    auto genome = config_.space.encode(mark.params);
-    if (!genome) continue;  // the space changed; the point is unreachable now
-    searcher.reserve_for(*genome, mark.optimizer);
-    replay.push_back(std::move(*genome));
-  }
-  {
+  if (!barrier) {
+    for (const InflightMark& mark : broker_->replayed_inflight()) {
+      auto genome = config_.space.encode(mark.params);
+      if (!genome) continue;  // the space changed; the point is unreachable now
+      searcher->reserve_for(*genome, mark.optimizer);
+      replay.push_back(std::move(*genome));
+    }
     util::MutexLock lock(stats_mutex_);
     stats_.inflight_replayed += replay.size();
   }
 
-  // The continuous submit/complete loop: keep up to max_inflight
-  // evaluations in the air, and on every completion run survival, probe
-  // scheduling and the next submission — no generational barrier anywhere.
-  bool stop_submission = false;
-  while (true) {
+  // Returns false once submission has stopped for good.
+  auto release_steady = [&] {
     while (!stop_submission && inflight < max_inflight && submitted < budget) {
       if (should_stop()) {
         stop_submission = true;
         break;
       }
+      const bool direct = !replay.empty();
       opt::Genome genome;
-      bool direct = false;
-      if (!replay.empty()) {
+      if (direct) {
         genome = std::move(replay.front());
         replay.pop_front();
-        direct = true;
       } else {
-        genome = searcher.ask();
+        genome = searcher->ask();
       }
       ++submitted;
-      if (!submit_one(std::move(genome), direct)) {
+      if (!admit(std::move(genome), direct)) {
         ++completed;
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.steady_completions;
+        bump(&DseStats::steady_completions);
       }
     }
+    return !stop_submission && submitted < budget;
+  };
+
+  // ---- The submit/complete loop ------------------------------------------
+  while (true) {
+    const bool more = barrier ? release_generation() : release_steady();
     if (inflight == 0) {
-      if (stop_submission || submitted >= budget) break;
-      continue;  // everything so far resolved synchronously; submit more
+      if (!more) break;
+      continue;  // everything so far resolved synchronously; release more
     }
-    std::shared_ptr<Inflight> next;
-    {
-      util::MutexLock lock(mu);
-      while (ready.empty()) cv.wait(mu);
-      // Pop the earliest virtual finish (sequence number breaks ties and
-      // orders zero-cost answers). Inline mode resolves every submission
-      // at submit time, so this pop order exactly replays the virtual
-      // fleet's completion schedule; under real threads it is the closest
-      // deterministic-given-completion-order approximation.
-      auto best = ready.begin();
-      for (auto it = std::next(ready.begin()); it != ready.end(); ++it) {
-        if ((*it)->result.virtual_finish < (*best)->result.virtual_finish ||
-            ((*it)->result.virtual_finish == (*best)->result.virtual_finish &&
-             (*it)->seq < (*best)->seq)) {
-          best = it;
-        }
-      }
-      next = *best;
-      ready.erase(best);
+    std::shared_ptr<Inflight> done = next_completion();
+    if (barrier) {
+      gen.answers[done->slot] = std::move(done->result);
+      continue;
     }
-    --inflight;
-    resolve(*next);
+    const Scored scored = resolve(done->point, done->result);
+    tell(done->genome, scored.objectives, scored.cost_seconds);
     ++completed;
-    {
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.steady_completions;
-    }
+    bump(&DseStats::steady_completions);
     // Per-completion probe scheduling: breaker recovery is tested
     // continuously instead of once per generation.
     run_probe_queue();
   }
 
-  {
-    util::MutexLock lock(stats_mutex_);
-    stats_.generations =
-        ga.population_size != 0 ? completed / ga.population_size : 0;
+  util::MutexLock lock(stats_mutex_);
+  // Survival rounds after the initial population: closed offspring
+  // generations, or (mu+1) completions beyond the first population_size
+  // counted in whole populations.
+  const std::size_t pop = ga.population_size;
+  stats_.generations = barrier ? generational->generations()
+                               : (pop != 0 && completed > pop ? (completed - pop) / pop : 0);
+  if (!barrier) {
     stats_.optimizer_name = config_.optimizer;
-    stats_.optimizer_members = searcher.member_stats();
+    stats_.optimizer_members = searcher->member_stats();
   }
+}
+
+std::vector<opt::Genome> DseEngine::seed_genomes() {
+  // One seed source: the warm-start session when it holds usable points,
+  // otherwise the store's prior front. Either way the initial population
+  // is the non-dominated subset of the candidates that still encode into
+  // the current design space.
+  std::vector<opt::Genome> genomes;
+  std::vector<opt::Objectives> objs;
+  auto offer = [&](const DesignPoint& params, const EvalMetrics& metrics) {
+    auto genome = config_.space.encode(params);
+    if (!genome) return;  // spaces differ across sessions and campaigns
+    genomes.push_back(std::move(*genome));
+    objs.push_back(to_objectives(metrics));
+  };
+  auto front = [&] {
+    std::vector<opt::Genome> seeds;
+    for (std::size_t i : opt::non_dominated_indices(objs)) seeds.push_back(genomes[i]);
+    return seeds;
+  };
+
+  for (const auto& point : config_.warm_start) {
+    if (!point.estimated && !point.failed) offer(point.params, point.metrics);
+  }
+  if (!genomes.empty() || !store_ || !config_.store_warm_start) return front();
+
+  // Only exact hi-fi answers for *this* backend with every objective
+  // present count — screen estimates and approximate scores never steer
+  // the initial population.
+  for (const auto& rec : store_->live_records()) {
+    if (rec.tier != store::EvalStore::kTierHifi) continue;
+    if (rec.backend != broker_->backend_info().name) continue;
+    if (!rec.ok || rec.approximate) continue;
+    EvalMetrics metrics;
+    metrics.values = rec.metrics;
+    if (objective_values(rec.params, metrics)) offer(rec.params, metrics);
+  }
+  std::vector<opt::Genome> seeds = front();
+  if (!seeds.empty()) {
+    {
+      util::MutexLock lock(stats_mutex_);
+      stats_.store_seeded_points = seeds.size();
+    }
+    util::Log::info("seeded initial population with " + std::to_string(seeds.size()) +
+                    " non-dominated point(s) from the evaluation store");
+  }
+  return seeds;
 }
 
 DseResult DseEngine::run() {
   run_preflight();
   pretrain();
 
-  DovadoProblem problem(*this, config_.space, config_.objectives.size());
-
+  SpaceProblem problem(config_.space, config_.objectives.size());
   opt::Nsga2Config ga = config_.ga;
-  if (!config_.warm_start.empty() && ga.initial_genomes.empty()) {
-    // Continue from the previous session: seed the initial population with
-    // the non-dominated subset of the warm-started points (those that still
-    // encode into the current design space).
-    std::vector<opt::Genome> genomes;
-    std::vector<opt::Objectives> objs;
-    for (const auto& point : config_.warm_start) {
-      if (point.estimated || point.failed) continue;
-      auto genome = config_.space.encode(point.params);
-      if (!genome) continue;
-      genomes.push_back(std::move(*genome));
-      objs.push_back(to_objectives(point.metrics));
-    }
-    for (std::size_t i : opt::non_dominated_indices(objs)) {
-      ga.initial_genomes.push_back(genomes[i]);
-    }
-  }
-  if (store_ && config_.store_warm_start && ga.initial_genomes.empty()) {
-    // No explicit warm-start file: seed from the cross-campaign store
-    // instead. Only exact hi-fi answers for *this* backend count — screen
-    // estimates and approximate scores never steer the initial population.
-    std::vector<opt::Genome> genomes;
-    std::vector<opt::Objectives> objs;
-    for (const auto& rec : store_->live_records()) {
-      if (rec.tier != store::EvalStore::kTierHifi) continue;
-      if (rec.backend != broker_->backend_info().name) continue;
-      if (!rec.ok || rec.approximate) continue;
-      bool complete = true;
-      for (const auto& objective : config_.objectives) {
-        if (rec.metrics.find(objective.metric) == rec.metrics.end()) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) continue;
-      auto genome = config_.space.encode(rec.params);
-      if (!genome) continue;  // store spans campaigns; spaces may differ
-      EvalMetrics metrics;
-      metrics.values = rec.metrics;
-      genomes.push_back(std::move(*genome));
-      objs.push_back(to_objectives(metrics));
-    }
-    for (std::size_t i : opt::non_dominated_indices(objs)) {
-      ga.initial_genomes.push_back(genomes[i]);
-    }
-    if (!ga.initial_genomes.empty()) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        stats_.store_seeded_points = ga.initial_genomes.size();
-      }
-      util::Log::info("seeded initial population with " +
-                      std::to_string(ga.initial_genomes.size()) +
-                      " non-dominated point(s) from the evaluation store");
-    }
-  }
-  if (config_.steady_state) {
-    run_steady_state(problem, ga);
-  } else {
-    ga.batch_evaluate = [this](opt::Problem&, std::vector<opt::Individual>& individuals) {
-      return batch_evaluate(individuals);
-    };
-    auto user_stop = config_.ga.should_stop;
-    ga.should_stop = [this, user_stop] {
-      if (broker_->deadline_exceeded()) {
-        broker_->mark_deadline_hit();
-        return true;
-      }
-      return user_stop ? user_stop() : false;
-    };
-
-    opt::Nsga2 solver(ga);
-    const opt::Nsga2Result ga_result = solver.run(problem);
-    {
-      util::MutexLock lock(stats_mutex_);
-      stats_.generations = ga_result.generations_run;
-    }
-  }
+  if (ga.initial_genomes.empty()) ga.initial_genomes = seed_genomes();
+  search(problem, ga);
 
   // Assemble the non-dominated set over everything explored (tool results
   // and surviving estimates), excluding failures.
@@ -1395,38 +1197,19 @@ DseResult DseEngine::run() {
           continue;
         }
         ++converted;
-        {
-          util::MutexLock lock(stats_mutex_);
-          if (results[i].cache_hit) ++stats_.cache_hits;
-          else if (results[i].joined) ++stats_.single_flight_joins;
-          else if (!results[i].store_hit) ++stats_.tool_runs;
-        }
+        count_answer(results[i]);
         if (!results[i].ok) {
-          {
-            util::MutexLock lock(stats_mutex_);
-            ++stats_.failures;
-          }
           record(to_verify[i], results[i].metrics, false, true);
           continue;
         }
-        // Tool answer replaces the estimate (record() handles supersession,
-        // but estimated entries must be overwritten even when equal).
-        bool was_approximate = false;
+        // The tool answer supersedes the estimate (see record()).
+        bool was_approximate;
         {
           util::MutexLock lock(record_mutex_);
-          auto it = explored_index_.find(to_verify[i]);
-          if (it != explored_index_.end()) {
-            was_approximate = explored_[it->second].approximate;
-            explored_[it->second].metrics = results[i].metrics;
-            explored_[it->second].estimated = false;
-            explored_[it->second].failed = false;
-            explored_[it->second].approximate = false;
-          }
+          was_approximate = explored_[explored_index_.at(to_verify[i])].approximate;
         }
-        if (was_approximate) {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.reverified_points;
-        }
+        record(to_verify[i], results[i].metrics, false, false);
+        if (was_approximate) bump(&DseStats::reverified_points);
       }
       if (converted == 0) {
         // Give recovery one more chance per zero-progress pass: a probe

@@ -1,27 +1,33 @@
 // The Dovado DSE engine (paper Sec. III-B / III-C, Figs. 1-2).
 //
-// Wires together the design space, the evaluation broker(s), the NSGA-II
-// solver and (optionally) the Nadaraya-Watson approximation control model:
+// Wires together the design space, the evaluation broker(s), the searcher
+// and (optionally) the Nadaraya-Watson approximation control model:
 //   1. optional pre-training: M distinct tool runs on randomly sampled
 //      points build the synthetic dataset,
-//   2. NSGA-II explores index space; each fitness evaluation goes through
-//      the control model (cached tool run / estimate / tool run + dataset
-//      growth) or straight to the tool when approximation is disabled,
+//   2. the searcher explores index space through one submit/complete loop;
+//      each fitness evaluation goes through the control model (cached tool
+//      run / estimate / tool run + dataset growth) or straight to the tool
+//      when approximation is disabled,
 //   3. the non-dominated set of explored configurations is returned (with
 //      estimated front members re-evaluated by the tool for exactness).
+//
+// The loop has two release policies (DESIGN.md "One loop, two release
+// policies"): the barrier policy, the default, releases whole generations
+// of the paper's generational NSGA-II and closes each one before the next;
+// the steady policy (DseConfig::steady_state) asks any registered ask/tell
+// optimizer for one genome at a time and resolves each answer as it lands.
 //
 // The evaluation machinery — cache, evaluator pool, supervisor, journal,
 // deadline accounting — lives in EvaluationBroker (core/broker.hpp); the
 // engine owns the search logic. With multi-fidelity screening enabled
-// (screen_keep_ratio < 1) a second low-fidelity broker pre-ranks each GA
-// offspring batch and only the most promising fraction pays for a
-// high-fidelity run; the rest are recorded as estimated.
+// (screen_keep_ratio < 1) a second low-fidelity broker pre-screens fresh
+// points and only the most promising fraction pays for a high-fidelity
+// run; the rest are recorded as estimated.
 //
 // Tool time is *simulated* (the SimVivado runtime model), so the paper's
 // four-hour soft deadline semantics are reproduced without wall-clock cost.
-// Evaluation of a generation's offspring fans out over a thread pool, one
-// tool session per worker — the same shape as running parallel Vivado
-// processes.
+// Submitted evaluations run on a thread pool, one tool session per worker —
+// the same shape as running parallel Vivado processes.
 #pragma once
 
 #include <deque>
@@ -73,10 +79,11 @@ struct DseConfig {
   /// Evaluation backend override; empty uses the project's backend.
   std::string backend;
 
-  /// Multi-fidelity screening: fraction of each GA offspring batch that is
-  /// forwarded to the high-fidelity backend after pre-ranking the batch on
-  /// `screen_backend`. 1.0 (default) disables screening; e.g. 0.5 halves
-  /// the high-fidelity runs per batch. Must be in (0, 1].
+  /// Multi-fidelity screening: fraction of fresh points forwarded to the
+  /// high-fidelity backend after pre-ranking them on `screen_backend` (per
+  /// generation with the barrier policy, against a sliding window with the
+  /// steady one). 1.0 (default) disables screening; e.g. 0.5 halves the
+  /// high-fidelity runs. Must be in (0, 1].
   double screen_keep_ratio = 1.0;
 
   /// Low-fidelity backend used for screening.
@@ -88,28 +95,33 @@ struct DseConfig {
   model::ControlModel::Config control;
   std::size_t pretrain_samples = 100;  ///< M, the synthetic-dataset size
 
-  /// Soft deadline on cumulative *simulated* high-fidelity tool seconds
-  /// (the GA finishes the current generation, then stops). Infinity =
+  /// Soft deadline on cumulative *simulated* high-fidelity tool seconds.
+  /// The search loop checks it before every submission: nothing is
+  /// submitted after the crossing, and answers already in flight still
+  /// land. Generation members left undispatched get the failure penalty
+  /// (counted as deadline skips) so the generation can close. Pretraining
+  /// and evaluate_set() check it between dispatch chunks. Infinity =
   /// unconstrained. Screening runs are not charged against it.
   double deadline_tool_seconds = std::numeric_limits<double>::infinity();
 
   /// Worker threads for parallel tool runs (0 = evaluate inline).
   std::size_t workers = 0;
 
-  /// Steady-state (mu+1, bounded-inflight) engine instead of generational
-  /// lambda-batches (see DESIGN.md "Steady-state engine"): an ask/tell
-  /// offspring generator feeds a continuous submit/complete loop over the
-  /// broker, and survival, sticky screening, hedging and probe scheduling
-  /// all happen per completion. The batch path stays available for A/B.
+  /// Release policy of the search loop (see DESIGN.md "One loop, two
+  /// release policies"). false (default): the barrier policy, the paper's
+  /// generational NSGA-II — a whole generation is admitted, dispatched and
+  /// resolved before the next is released. true: the steady policy —
+  /// (mu+1) survival with bounded inflight, where screening, hedging and
+  /// probe scheduling happen per completion.
   bool steady_state = false;
 
-  /// Searcher driving the steady-state engine, resolved through
+  /// Searcher driving the steady policy, resolved through
   /// opt::OptimizerRegistry (see DESIGN.md "Optimizer portfolio & algorithm
   /// selection"): "nsga2" (default), "random", "local", "surrogate",
   /// "exhaustive", or "portfolio" (a UCB bandit over several members).
-  /// Anything other than "nsga2" requires steady_state — the generational
-  /// path is NSGA-II-specific. Unknown names throw at construction with a
-  /// did-you-mean suggestion.
+  /// Anything other than "nsga2" requires steady_state — the barrier
+  /// policy is generational NSGA-II. Unknown names throw at construction
+  /// with a did-you-mean suggestion.
   std::string optimizer = "nsga2";
 
   /// Member searchers of the "portfolio" optimizer, in bandit order. Empty
@@ -118,17 +130,18 @@ struct DseConfig {
   /// registry names.
   std::vector<std::string> portfolio_members;
 
-  /// Bound on concurrently submitted (inflight) evaluations in steady-state
-  /// mode. 0 = one per virtual evaluator lane.
+  /// Bound on concurrently submitted (inflight) evaluations of the steady
+  /// policy. 0 = one per virtual evaluator lane (the barrier policy's fixed
+  /// bound).
   std::size_t max_inflight = 0;
 
-  /// Evaluation budget of the steady-state engine (completions, counting
+  /// Evaluation budget of the steady policy (completions, counting
   /// estimates and screen settles). 0 = population * (generations + 1),
-  /// the generational engine's budget at the same ga settings.
+  /// the barrier policy's budget at the same ga settings.
   std::size_t steady_state_evaluations = 0;
 
-  /// Virtual evaluator lanes for utilization accounting and steady-state
-  /// completion ordering (see BrokerConfig::virtual_lanes). 0 = match the
+  /// Virtual evaluator lanes for utilization accounting, the dispatch
+  /// bound and completion ordering (see BrokerConfig::virtual_lanes). 0 = match the
   /// real lane count (workers + 1, or 1 inline).
   std::size_t virtual_lanes = 0;
 
@@ -208,14 +221,14 @@ struct DseStats {
   std::size_t pretrain_runs = 0;
   double simulated_tool_seconds = 0.0;
   bool deadline_hit = false;
-  std::size_t generations = 0;
+  std::size_t generations = 0;       ///< survival rounds after the initial population
   double preflight_ms = 0.0;         ///< wall-clock spent in the pre-flight lint
 
   // Concurrency counters (see DESIGN.md "Concurrency model").
   std::size_t single_flight_joins = 0;  ///< shared another task's identical run
   std::size_t lease_waits = 0;          ///< acquire() calls that blocked for an evaluator
-  std::size_t deadline_skips = 0;       ///< evaluations cut by the mid-batch deadline
-  std::size_t batches = 0;              ///< chunk-dispatched parallel batches
+  std::size_t deadline_skips = 0;       ///< members left undispatched by a stop
+  std::size_t batches = 0;              ///< dispatch batches (generations, pretraining, sets)
   double last_batch_tool_seconds = 0.0; ///< tool seconds paid by the latest batch
   double max_batch_tool_seconds = 0.0;  ///< most expensive batch so far
 
@@ -246,20 +259,20 @@ struct DseStats {
   std::size_t store_seeded_points = 0;       ///< initial-population members from prior fronts
   std::size_t store_quarantined_records = 0; ///< corrupt store records skipped at open
 
-  // Steady-state engine counters (see DESIGN.md "Steady-state engine").
-  std::size_t steady_completions = 0;  ///< completions processed by the steady loop
+  // Search-loop counters (see DESIGN.md "One loop, two release policies").
+  std::size_t steady_completions = 0;  ///< completions resolved by the steady policy
   std::size_t inflight_replayed = 0;   ///< journaled inflight points re-submitted on resume
   /// Virtual-lane utilization of the high-fidelity evaluator fleet:
-  /// busy evaluator-seconds / (virtual makespan * lanes). The generational
-  /// engine barriers every generation (idle lanes wait for the slowest
-  /// run); the steady-state engine keeps lanes busy continuously.
+  /// busy evaluator-seconds / (virtual makespan * lanes). The barrier
+  /// policy closes every generation (idle lanes wait for the slowest run);
+  /// the steady policy keeps lanes busy continuously.
   double tool_seconds_utilization = 0.0;
   double busy_tool_seconds = 0.0;        ///< lane-occupying run seconds
   double virtual_makespan_seconds = 0.0; ///< when the last virtual lane goes idle
   std::size_t virtual_lanes = 0;
 
   // Optimizer attribution (see DESIGN.md "Optimizer portfolio & algorithm
-  // selection"). Empty/default outside steady-state runs.
+  // selection"). Empty/default under the barrier policy.
   std::string optimizer_name;  ///< registry name of the searcher that ran
   /// Per-member ask/tell/hypervolume-gain accounting; one entry for single
   /// searchers, one per member (with bandit selection weights) for the
@@ -299,21 +312,6 @@ class DseEngine {
   /// recorded as explored).
   [[nodiscard]] std::vector<ExploredPoint> evaluate_set(
       const std::vector<DesignPoint>& points);
-
-  /// Evaluate one GA batch: estimate or tool-evaluate every unevaluated
-  /// individual. Identical points in the batch are single-flighted (one
-  /// tool run, the duplicates join it); with screening enabled the batch
-  /// is pre-ranked on the low-fidelity broker first; the tool deadline is
-  /// enforced between dispatch chunks, and individuals cut by it get the
-  /// failure penalty so the generation can still close. Exposed for the
-  /// NSGA-II callback and for parallel stress tests.
-  ///
-  /// Returns how many individuals received a genuine score from some
-  /// evaluation source (tool runs including failures, cache hits, NWM
-  /// estimates, screen settles, hedges, quarantine fallbacks). Deadline-cut
-  /// and unhedged fast-failed individuals get the failure penalty without
-  /// consuming an evaluation and are not counted.
-  std::size_t batch_evaluate(std::vector<opt::Individual>& individuals);
 
   /// Consistent snapshot of the statistics (engine counters merged with
   /// the brokers'). Safe to call concurrently with in-flight evaluations.
@@ -357,10 +355,34 @@ class DseEngine {
   [[nodiscard]] opt::Objectives to_objectives(const EvalMetrics& metrics) const;
 
  private:
-  friend class DovadoProblem;
+  /// A resolved broker answer: the objectives told to the searcher and the
+  /// tool seconds billed to it.
+  struct Scored {
+    opt::Objectives objectives;
+    double cost_seconds = 0.0;
+  };
 
   /// Raw-parameter-space coordinates of a point (Eq. 4's decision vars).
   [[nodiscard]] model::Point to_model_point(const DesignPoint& point) const;
+
+  /// Approximation-dataset values for a point from another session or
+  /// campaign: nullopt unless it lies inside the current space and reports
+  /// every objective metric.
+  [[nodiscard]] std::optional<model::Values> objective_values(
+      const DesignPoint& point, const EvalMetrics& metrics) const;
+
+  /// Grow the approximation dataset with a tool answer.
+  void learn(const DesignPoint& point, const EvalMetrics& metrics);
+
+  /// The control model's estimate for a point, as objective metrics.
+  [[nodiscard]] EvalMetrics estimate_metrics(const DesignPoint& point) const;
+
+  /// Increment one engine counter under the stats lock.
+  void bump(std::size_t DseStats::*counter);
+
+  /// Count a hi-fi broker answer: cache hit, single-flight join or tool
+  /// run (store hits are counted by the broker), plus a failure if any.
+  void count_answer(const EvalResult& r);
 
   /// Screen `unique_points` on the low-fidelity broker: returns, per point,
   /// either the screening answer that settles it (the point stays
@@ -377,13 +399,26 @@ class DseEngine {
 
   void pretrain();
 
-  /// The steady-state campaign (config_.steady_state): a bounded-inflight
-  /// submit/complete loop over the broker where survival, sticky
-  /// screening, hedging and probe scheduling happen per completion.
-  /// Replayed inflight points are re-submitted first (exactly once). Fills
-  /// stats_.generations/steady_completions; the caller assembles the
-  /// front afterwards exactly as for the generational engine.
-  void run_steady_state(opt::Problem& problem, opt::Nsga2Config ga);
+  /// Initial-population seeds: the non-dominated warm-start points, or,
+  /// when the session offers none, the store's prior front.
+  [[nodiscard]] std::vector<opt::Genome> seed_genomes();
+
+  /// The search: one submit/complete loop over the broker. The release
+  /// policy decides what is submitted when: the barrier policy (default)
+  /// releases whole generations of the paper's generational NSGA-II; the
+  /// steady policy (config_.steady_state) asks the configured optimizer
+  /// one genome at a time and resolves every completion at once (see
+  /// DESIGN.md "One loop, two release policies"). Fills stats_.generations;
+  /// the caller assembles the front afterwards.
+  void search(opt::Problem& problem, const opt::Nsga2Config& ga);
+
+  /// Settle a point with its screening answer (recorded as estimated).
+  [[nodiscard]] opt::Objectives settle(const DesignPoint& point, const EvalResult& screen);
+
+  /// Score one hi-fi broker answer: hedge a fast-fail on the analytic tier,
+  /// fall back to an NWM estimate for a quarantined point, penalize other
+  /// failures; record the point and grow the dataset with fresh answers.
+  [[nodiscard]] Scored resolve(const DesignPoint& point, const EvalResult& r);
 
   void record(const DesignPoint& point, const EvalMetrics& metrics, bool estimated,
               bool failed, bool approximate = false);
@@ -396,6 +431,10 @@ class DseEngine {
   /// otherwise a lazily built analytic broker. Thread-safe.
   [[nodiscard]] EvaluationBroker* hedge_broker();
 
+  /// A broker on the screening backend (screen_backend), storing under
+  /// the "screen" tier.
+  [[nodiscard]] std::unique_ptr<EvaluationBroker> make_low_fidelity_broker() const;
+
   /// Remember a fast-failed point as a recovery-probe candidate (bounded,
   /// deduplicated).
   void enqueue_probe(const DesignPoint& point);
@@ -403,7 +442,8 @@ class DseEngine {
   /// Drain the probe queue through the breaker's probe budget: each
   /// admitted probe re-tries a representative fast-failed point against
   /// the hi-fi backend (successes are recorded exact and grow the
-  /// dataset). Called after each batch; stops on the first fast-fail.
+  /// dataset). Called after each generation (barrier policy) or completion
+  /// (steady policy); stops on the first fast-fail.
   void run_probe_queue();
 
   ProjectConfig project_;

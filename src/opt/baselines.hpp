@@ -8,7 +8,7 @@
 //
 // Both are thin synchronous drivers over the ask/tell adapters in
 // opt/optimizer.hpp ("random" / "exhaustive" in the registry); the
-// steady-state engine runs the same searchers asynchronously.
+// engine's steady release policy runs the same searchers asynchronously.
 #pragma once
 
 #include "src/opt/problem.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 namespace dovado::opt {
 
@@ -35,7 +36,7 @@ void mutate_genome(const Problem& problem, const Nsga2Config& config, Genome& g,
 /// than the population cannot fill it with uniques, so sampling gives up
 /// after 200 consecutive duplicates or once the whole volume is seen.
 /// `seen` accumulates every genome produced.
-std::vector<Genome> sample_initial(Problem& problem, const Nsga2Config& config,
+std::vector<Genome> sample_initial(const Problem& problem, const Nsga2Config& config,
                                    util::Rng& rng, GenomeSet& seen) {
   std::vector<Genome> initial;
   initial.reserve(config.population_size);
@@ -62,25 +63,6 @@ std::vector<Genome> sample_initial(Problem& problem, const Nsga2Config& config,
 
 }  // namespace
 
-void Nsga2::evaluate_all(Problem& problem, std::vector<Individual>& individuals,
-                         std::size_t& evaluations) {
-  if (config_.batch_evaluate) {
-    // Count what the engine says it actually evaluated, not what we handed
-    // it: deadline-cut and fast-failed points receive penalty objectives
-    // without consuming an evaluation and must not inflate the tally.
-    evaluations += config_.batch_evaluate(problem, individuals);
-    for (auto& ind : individuals) ind.evaluated = true;
-    return;
-  }
-  for (auto& ind : individuals) {
-    if (!ind.evaluated) {
-      ind.objectives = problem.evaluate(ind.genome);
-      ind.evaluated = true;
-      ++evaluations;
-    }
-  }
-}
-
 void assign_rank_crowding(std::vector<Individual>& population) {
   std::vector<Objectives> objs;
   objs.reserve(population.size());
@@ -95,19 +77,76 @@ void assign_rank_crowding(std::vector<Individual>& population) {
   }
 }
 
-std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
-                                              const std::vector<Individual>& population,
-                                              util::Rng& rng) const {
+GenerationalNsga2::GenerationalNsga2(Nsga2Config config, const Problem& problem)
+    : config_(std::move(config)), problem_(problem), rng_(config_.seed) {
+  GenomeSet seen;
+  for (Genome& g : sample_initial(problem_, config_, rng_, seen)) {
+    Individual ind;
+    ind.genome = std::move(g);
+    generation_.push_back(std::move(ind));
+  }
+}
+
+std::vector<Genome> GenerationalNsga2::ask() {
+  if (untold_ != 0) {
+    throw std::logic_error("GenerationalNsga2::ask: the previous generation is not fully told");
+  }
+  if (done()) throw std::logic_error("GenerationalNsga2::ask: the run is complete");
+  std::vector<Genome> genomes;
+  genomes.reserve(generation_.size());
+  for (const auto& ind : generation_) genomes.push_back(ind.genome);
+  untold_ = generation_.size();
+  if (untold_ == 0) close_generation();  // empty population: nothing to wait for
+  return genomes;
+}
+
+void GenerationalNsga2::tell(const Genome& genome, const Objectives& objectives) {
+  // untold_ == 0 means generation_ holds the next, not yet asked, one.
+  for (auto& ind : generation_) {
+    if (untold_ == 0) break;
+    if (ind.evaluated || ind.genome != genome) continue;
+    ind.objectives = objectives;
+    ind.evaluated = true;
+    if (--untold_ == 0) close_generation();
+    return;
+  }
+  throw std::logic_error("GenerationalNsga2::tell: genome was not asked or is already told");
+}
+
+void GenerationalNsga2::close_generation() {
+  if (!initialized_) {
+    population_ = std::move(generation_);
+    initialized_ = true;
+  } else {
+    // (mu + lambda) elitist survival.
+    std::vector<Individual> merged;
+    merged.reserve(population_.size() + generation_.size());
+    for (auto& ind : population_) merged.push_back(std::move(ind));
+    for (auto& ind : generation_) merged.push_back(std::move(ind));
+
+    std::vector<Objectives> objs;
+    objs.reserve(merged.size());
+    for (const auto& ind : merged) objs.push_back(ind.objectives);
+    const auto fronts = fast_non_dominated_sort(objs);
+    population_ = survive(merged, objs, fronts);
+    ++generations_;
+  }
+  assign_rank_crowding(population_);
+  generation_.clear();
+  if (!done()) generation_ = make_offspring();
+}
+
+std::vector<Individual> GenerationalNsga2::make_offspring() {
   GenomeSet existing;
   if (config_.eliminate_duplicates) {
-    for (const auto& ind : population) existing.insert(ind.genome);
+    for (const auto& ind : population_) existing.insert(ind.genome);
   }
 
-  const std::size_t n = population.size();
+  const std::size_t n = population_.size();
   std::vector<Individual> offspring;
   offspring.reserve(config_.population_size);
 
-  auto mutate = [&](Genome& g) { mutate_genome(problem, config_, g, rng); };
+  auto mutate = [&](Genome& g) { mutate_genome(problem_, config_, g, rng_); };
 
   while (offspring.size() < config_.population_size) {
     const std::size_t before = offspring.size();
@@ -116,11 +155,11 @@ std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
     bool accepted = false;
     for (int attempt = 0; attempt < std::max(1, config_.duplicate_retries); ++attempt) {
       const std::size_t p1 =
-          tournament(population, rng.index(n), rng.index(n), rng);
+          tournament(population_, rng_.index(n), rng_.index(n), rng_);
       const std::size_t p2 =
-          tournament(population, rng.index(n), rng.index(n), rng);
-      sbx_integer(problem, population[p1].genome, population[p2].genome,
-                  config_.crossover_eta, config_.crossover_prob_var, rng, child_a, child_b);
+          tournament(population_, rng_.index(n), rng_.index(n), rng_);
+      sbx_integer(problem_, population_[p1].genome, population_[p2].genome,
+                  config_.crossover_eta, config_.crossover_prob_var, rng_, child_a, child_b);
       mutate(child_a);
       mutate(child_b);
       if (!config_.eliminate_duplicates) {
@@ -135,8 +174,8 @@ std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
     if (!accepted) {
       // Mating keeps producing known genomes: inject a random immigrant to
       // preserve diversity instead of spinning.
-      child_a = random_genome(problem, rng);
-      child_b = random_genome(problem, rng);
+      child_a = random_genome(problem_, rng_);
+      child_b = random_genome(problem_, rng_);
     }
     for (Genome* g : {&child_a, &child_b}) {
       if (offspring.size() >= config_.population_size) break;
@@ -158,7 +197,7 @@ std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
   return offspring;
 }
 
-std::vector<Individual> Nsga2::survive(
+std::vector<Individual> GenerationalNsga2::survive(
     std::vector<Individual>& merged, const std::vector<Objectives>& objs,
     const std::vector<std::vector<std::size_t>>& fronts) const {
   const std::size_t capacity = config_.population_size;
@@ -219,46 +258,20 @@ std::vector<Individual> Nsga2::survive(
 }
 
 Nsga2Result Nsga2::run(Problem& problem) {
+  GenerationalNsga2 ga(config_, problem);
   Nsga2Result result;
-  util::Rng rng(config_.seed);
-
-  GenomeSet seen;
-  std::vector<Individual> population;
-  population.reserve(config_.population_size);
-  for (Genome& g : sample_initial(problem, config_, rng, seen)) {
-    Individual ind;
-    ind.genome = std::move(g);
-    population.push_back(std::move(ind));
+  while (true) {
+    const std::vector<Genome> generation = ga.ask();
+    for (const Genome& genome : generation) ga.tell(genome, problem.evaluate(genome));
+    result.evaluations += generation.size();
+    if (ga.generations() > 0 && config_.on_generation) {
+      config_.on_generation(ga.generations() - 1, ga.population());
+    }
+    if (ga.done() || (config_.should_stop && config_.should_stop())) break;
   }
-
-  evaluate_all(problem, population, result.evaluations);
-  assign_rank_crowding(population);
-
-  for (std::size_t gen = 0; gen < config_.max_generations; ++gen) {
-    if (config_.should_stop && config_.should_stop()) break;
-
-    std::vector<Individual> offspring = make_offspring(problem, population, rng);
-    evaluate_all(problem, offspring, result.evaluations);
-
-    // (mu + lambda) elitist survival.
-    std::vector<Individual> merged;
-    merged.reserve(population.size() + offspring.size());
-    for (auto& ind : population) merged.push_back(std::move(ind));
-    for (auto& ind : offspring) merged.push_back(std::move(ind));
-
-    std::vector<Objectives> objs;
-    objs.reserve(merged.size());
-    for (const auto& ind : merged) objs.push_back(ind.objectives);
-    const auto fronts = fast_non_dominated_sort(objs);
-
-    population = survive(merged, objs, fronts);
-    assign_rank_crowding(population);
-    ++result.generations_run;
-    if (config_.on_generation) config_.on_generation(gen, population);
-  }
-
-  result.pareto_front = pareto_subset(population);
-  result.population = std::move(population);
+  result.generations_run = ga.generations();
+  result.population = ga.population();
+  result.pareto_front = pareto_subset(result.population);
   return result;
 }
 
@@ -310,7 +323,7 @@ Genome SteadyStateNsga2::make_one_offspring() {
   }
   // Mating keeps producing known genomes: random immigrant, and if even
   // those are exhausted (tiny space) accept the duplicate child to
-  // guarantee forward progress, mirroring the generational engine.
+  // guarantee forward progress, mirroring GenerationalNsga2.
   for (int attempt = 0; attempt < std::max(1, config_.duplicate_retries); ++attempt) {
     Genome g = random_genome(problem_, rng_);
     if (seen_.count(g) == 0) return g;

@@ -56,21 +56,13 @@ struct Nsga2Config {
   /// (standard NSGA-II survival).
   double controlled_elitism_r = 0.0;
 
-  /// Optional early-termination check, polled once per generation (used for
-  /// the paper's wall-clock soft deadline on the genetic algorithm).
+  /// Optional early-termination check, polled by Nsga2::run once per
+  /// generation (used for the paper's wall-clock soft deadline on the
+  /// genetic algorithm).
   std::function<bool()> should_stop;
 
-  /// Optional batch evaluator: evaluate all unevaluated individuals in the
-  /// span (e.g. in parallel, or through the approximation control model) and
-  /// return how many of them actually received a genuine score from some
-  /// evaluation source. Individuals the engine only penalty-scored without
-  /// consuming an evaluation (deadline cuts, unhedged fast-fails) must not
-  /// be counted — Nsga2Result::evaluations sums exactly these return values.
-  /// Defaults to sequentially calling Problem::evaluate.
-  std::function<std::size_t(Problem&, std::vector<Individual>&)> batch_evaluate;
-
   /// Optional per-generation observer (generation index, population after
-  /// survival).
+  /// survival), called by Nsga2::run.
   std::function<void(std::size_t, const std::vector<Individual>&)> on_generation;
 };
 
@@ -82,18 +74,50 @@ struct Nsga2Result {
   std::size_t evaluations = 0;              ///< Problem::evaluate calls issued
 };
 
-class Nsga2 {
+/// Generational NSGA-II as an ask/tell searcher: the paper's solver with
+/// control inverted. ask() releases one whole generation (the initial
+/// population first, then each offspring generation); the caller evaluates
+/// it at its own pace and tells every member back. Tells are matched to
+/// their slot in ask order (a genome asked twice fills its slots first to
+/// last). The tell that completes a generation runs (mu + lambda) survival
+/// and rank/crowding assignment, then mates the next generation, so the
+/// trajectory depends on the told objectives only, never on tell order.
+///
+/// Nsga2::run drives it sequentially; the DSE engine's barrier policy
+/// drives it through the broker's submit/complete loop.
+class GenerationalNsga2 {
  public:
-  explicit Nsga2(Nsga2Config config) : config_(std::move(config)) {}
+  /// Samples the initial population (seeded genomes repaired and
+  /// deduplicated, then random sampling).
+  GenerationalNsga2(Nsga2Config config, const Problem& problem);
 
-  /// Run the algorithm on a problem.
-  [[nodiscard]] Nsga2Result run(Problem& problem);
+  /// The next generation to evaluate. Throws std::logic_error while the
+  /// previous one still has untold members, or once done().
+  [[nodiscard]] std::vector<Genome> ask();
+
+  /// Report one evaluated member of the asked generation. Throws
+  /// std::logic_error when no untold slot holds `genome`.
+  void tell(const Genome& genome, const Objectives& objectives);
+
+  /// True once max_generations survival rounds have run.
+  [[nodiscard]] bool done() const noexcept {
+    return initialized_ && generations_ >= config_.max_generations;
+  }
+
+  /// Survival rounds run so far (the initial population is not one).
+  [[nodiscard]] std::size_t generations() const noexcept { return generations_; }
+
+  /// The ranked population: empty until the initial generation is told,
+  /// then the survivors of the latest round.
+  [[nodiscard]] const std::vector<Individual>& population() const noexcept {
+    return population_;
+  }
 
  private:
-  void evaluate_all(Problem& problem, std::vector<Individual>& individuals,
-                    std::size_t& evaluations);
-  [[nodiscard]] std::vector<Individual> make_offspring(
-      const Problem& problem, const std::vector<Individual>& population, util::Rng& rng) const;
+  /// Runs once the last member of the asked generation is told.
+  void close_generation();
+
+  [[nodiscard]] std::vector<Individual> make_offspring();
 
   /// (mu + lambda) survival: standard elitist truncation, or the controlled
   /// elitist geometric schedule when controlled_elitism_r > 0.
@@ -102,27 +126,47 @@ class Nsga2 {
       const std::vector<std::vector<std::size_t>>& fronts) const;
 
   Nsga2Config config_;
+  const Problem& problem_;
+  util::Rng rng_;
+  std::vector<Individual> population_;
+  std::vector<Individual> generation_;  ///< next or asked generation, in ask order
+  std::size_t untold_ = 0;              ///< members of the asked generation not yet told
+  std::size_t generations_ = 0;         ///< survival rounds run
+  bool initialized_ = false;            ///< the initial generation has been told
+};
+
+/// Sequential NSGA-II: evaluates every generation with Problem::evaluate.
+class Nsga2 {
+ public:
+  explicit Nsga2(Nsga2Config config) : config_(std::move(config)) {}
+
+  /// Run the algorithm on a problem.
+  [[nodiscard]] Nsga2Result run(Problem& problem);
+
+ private:
+  Nsga2Config config_;
 };
 
 /// Recompute rank and crowding distance for every member of `population`
 /// via one fast non-dominated sort (shared by the generational and the
-/// steady-state engines).
+/// steady-state searchers).
 void assign_rank_crowding(std::vector<Individual>& population);
 
 /// Steady-state (mu+1) NSGA-II as an ask/tell searcher.
 ///
-/// The generational `Nsga2` evaluates offspring in lambda-sized barriers —
-/// one slow point stalls the whole batch. This class inverts control: the
-/// caller pulls candidate genomes with ask() (as many as it wants inflight),
-/// evaluates them at its own pace, and pushes results back with tell().
+/// GenerationalNsga2 releases offspring in lambda-sized barriers — one slow
+/// point stalls the whole generation. This class asks one genome at a time:
+/// the caller pulls candidate genomes with ask() (as many as it wants
+/// inflight), evaluates them at its own pace, and pushes results back with
+/// tell().
 /// Survival is per-completion: each tell() inserts the individual and, once
 /// the population exceeds `population_size`, drops the single worst member
 /// (last non-dominated front, minimum crowding). With a deterministic
 /// completion order the whole trajectory is deterministic for a fixed seed.
 ///
 /// Reuses Nsga2Config: population_size, seed, operator knobs, duplicate
-/// elimination and initial_genomes behave as in the generational engine;
-/// max_generations / batch_evaluate / on_generation / controlled_elitism_r
+/// elimination and initial_genomes behave as in GenerationalNsga2;
+/// max_generations / should_stop / on_generation / controlled_elitism_r
 /// are ignored (budgeting and observation belong to the caller, and the
 /// controlled-elitism schedule is a whole-population survival rule that has
 /// no (mu+1) analogue).
@@ -131,7 +175,7 @@ void assign_rank_crowding(std::vector<Individual>& population);
 class SteadyStateNsga2 final : public Optimizer {
  public:
   /// Builds the initial candidate list (seeded genomes repaired and
-  /// deduplicated, then random sampling) exactly as Nsga2::run does.
+  /// deduplicated, then random sampling) exactly as GenerationalNsga2 does.
   SteadyStateNsga2(Nsga2Config config, Problem& problem);
 
   [[nodiscard]] const OptimizerInfo& info() const override;

@@ -1,7 +1,7 @@
 // The ask/tell optimizer layer: context, registry and the cheap searchers.
 //
-// The steady-state engine (core/dse.cpp) drives search through the
-// opt::Optimizer seam only (see optimizer_base.hpp): ask() pulls the next
+// The engine's steady release policy (core/dse.cpp) drives search through
+// the opt::Optimizer seam only (see optimizer_base.hpp): ask() pulls the next
 // candidate genome, tell() pushes the evaluated objectives back (with the
 // tool seconds the answer cost, so composite optimizers can do
 // per-tool-second credit assignment), reserve() marks genomes already

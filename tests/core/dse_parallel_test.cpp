@@ -1,6 +1,6 @@
 // Multithreaded stress tests for the evaluation concurrency layer:
 // evaluator leasing, single-flight cache deduplication, guarded statistics
-// and mid-batch deadline enforcement. Designed to run under
+// and mid-generation deadline enforcement. Designed to run under
 // -fsanitize=thread (the `tsan` preset, see DESIGN.md "Concurrency model").
 #include "src/core/dse.hpp"
 
@@ -40,12 +40,16 @@ DseConfig fifo_dse(std::size_t workers) {
   return config;
 }
 
-std::vector<opt::Individual> batch_of(const std::vector<std::int64_t>& genome_indices) {
-  std::vector<opt::Individual> batch(genome_indices.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].genome = {genome_indices[i]};
-  }
-  return batch;
+/// A campaign that evaluates exactly one generation: the given DEPTH
+/// indices, duplicates kept, as the initial population.
+DseConfig one_generation(const std::vector<std::int64_t>& genome_indices,
+                         std::size_t workers) {
+  DseConfig config = fifo_dse(workers);
+  config.ga.population_size = genome_indices.size();
+  config.ga.max_generations = 0;
+  config.ga.eliminate_duplicates = false;
+  for (std::int64_t index : genome_indices) config.ga.initial_genomes.push_back({index});
+  return config;
 }
 
 TEST(EvaluationCacheSingleFlight, JoinersShareTheLeadersRun) {
@@ -155,36 +159,32 @@ TEST(EvaluatorPool, EmptyPoolThrows) {
 }
 
 TEST(DseParallel, IdenticalPointsPayExactlyOneToolRun) {
-  // Acceptance criterion: a batch of N identical design points performs
-  // exactly 1 tool run; the other N-1 are single-flight joins.
-  DseEngine engine(fifo_project(), fifo_dse(4));
-  auto batch = batch_of(std::vector<std::int64_t>(24, 42));
-  engine.batch_evaluate(batch);
+  // Acceptance criterion: a generation of N identical design points
+  // performs exactly 1 tool run; the other N-1 are single-flight joins.
+  DseEngine engine(fifo_project(), one_generation(std::vector<std::int64_t>(24, 42), 4));
+  const DseResult result = engine.run();
 
-  const DseStats stats = engine.stats();
+  const DseStats& stats = result.stats;
   EXPECT_EQ(stats.ga_evaluations, 24u);
   EXPECT_EQ(stats.tool_runs, 1u);
   EXPECT_EQ(stats.single_flight_joins, 23u);
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.failures, 0u);
   EXPECT_GT(stats.simulated_tool_seconds, 0.0);
-
-  for (const auto& ind : batch) {
-    EXPECT_TRUE(ind.evaluated);
-    EXPECT_EQ(ind.objectives, batch.front().objectives);
-  }
+  ASSERT_EQ(result.explored.size(), 1u);
+  EXPECT_EQ(result.explored.front().params.at("DEPTH"), 50);
+  EXPECT_FALSE(result.explored.front().failed);
 }
 
 TEST(DseParallel, DuplicateHeavyBatchHasDeterministicStats) {
-  // Batch size >> workers with heavy duplication: 96 individuals over 8
-  // distinct points. Leasing + batch-level single-flight make the totals
-  // exact, not merely race-free.
+  // Generation size >> workers with heavy duplication: 96 members over 8
+  // distinct points. Leasing + generation-level single-flight make the
+  // totals exact, not merely race-free.
   std::vector<std::int64_t> indices;
   for (std::size_t i = 0; i < 96; ++i) indices.push_back(static_cast<std::int64_t>(i % 8) * 9);
 
-  DseEngine engine(fifo_project(), fifo_dse(3));
-  auto batch = batch_of(indices);
-  engine.batch_evaluate(batch);
+  DseEngine engine(fifo_project(), one_generation(indices, 3));
+  (void)engine.run();
 
   DseStats stats = engine.stats();
   EXPECT_EQ(stats.ga_evaluations, 96u);
@@ -192,18 +192,16 @@ TEST(DseParallel, DuplicateHeavyBatchHasDeterministicStats) {
   EXPECT_EQ(stats.single_flight_joins, 88u);
   EXPECT_EQ(stats.cache_hits, 0u);
 
-  // A second identical batch is fully absorbed by the cache.
-  auto again = batch_of(indices);
-  engine.batch_evaluate(again);
+  // Re-running the same generation is fully absorbed by the cache.
+  (void)engine.run();
   stats = engine.stats();
   EXPECT_EQ(stats.tool_runs, 8u);
   EXPECT_EQ(stats.single_flight_joins, 88u);
   EXPECT_EQ(stats.cache_hits, 96u);
 
   // And a second engine reproduces the first one's totals exactly.
-  DseEngine other(fifo_project(), fifo_dse(3));
-  auto other_batch = batch_of(indices);
-  other.batch_evaluate(other_batch);
+  DseEngine other(fifo_project(), one_generation(indices, 3));
+  (void)other.run();
   const DseStats other_stats = other.stats();
   EXPECT_EQ(other_stats.tool_runs, 8u);
   EXPECT_EQ(other_stats.single_flight_joins, 88u);
@@ -236,34 +234,32 @@ TEST(DseParallel, SharedCacheConcurrentEvaluatorsRunToolOnce) {
 }
 
 TEST(DseParallel, DeadlineEnforcedMidBatch) {
-  DseConfig config = fifo_dse(2);
-  config.deadline_tool_seconds = 1.0;  // any first chunk exceeds this
-  DseEngine engine(fifo_project(), config);
-
   std::vector<std::int64_t> indices;
   for (std::size_t i = 0; i < 40; ++i) indices.push_back(static_cast<std::int64_t>(i * 4));
-  auto batch = batch_of(indices);
-  engine.batch_evaluate(batch);
+  DseConfig config = one_generation(indices, 2);
+  config.deadline_tool_seconds = 1.0;  // any first run exceeds this
+  DseEngine engine(fifo_project(), config);
+  const DseResult result = engine.run();
 
-  const DseStats stats = engine.stats();
+  const DseStats& stats = result.stats;
   EXPECT_TRUE(stats.deadline_hit);
   EXPECT_GT(stats.deadline_skips, 0u);
-  // Dispatch stopped after the first chunk (2 * (workers + 1) runs), far
-  // short of the 40-point batch the old code would have completed.
-  EXPECT_LE(stats.tool_runs, 2 * (config.workers + 1));
+  // No submission after the crossing: only the runs already in flight when
+  // the first answer landed (at most one per lane) were paid for, far
+  // short of the 40-point generation.
+  EXPECT_LE(stats.tool_runs, config.workers + 1);
   EXPECT_GE(stats.tool_runs, 1u);
   EXPECT_EQ(stats.tool_runs + stats.deadline_skips, 40u);
   EXPECT_GT(stats.last_batch_tool_seconds, 0.0);
+  // Cut members are penalized so the generation can close, but they stay
+  // out of the explored set: nothing evaluated them.
+  EXPECT_EQ(result.explored.size(), stats.tool_runs);
 
-  // Skipped individuals are penalized so the generation can close.
-  for (const auto& ind : batch) EXPECT_TRUE(ind.evaluated);
-
-  // A follow-up batch dispatches nothing at all.
-  auto more = batch_of({1, 2, 3});
-  engine.batch_evaluate(more);
+  // A follow-up campaign on the same engine dispatches nothing at all.
+  (void)engine.run();
   const DseStats after = engine.stats();
   EXPECT_EQ(after.tool_runs, stats.tool_runs);
-  EXPECT_EQ(after.deadline_skips, stats.deadline_skips + 3);
+  EXPECT_EQ(after.deadline_skips, stats.deadline_skips + 40);
 }
 
 TEST(DseParallel, DeadlineEnforcedMidEvaluateSet) {
@@ -408,8 +404,7 @@ TEST(DseRobustness, HungAttemptsAreKilledAndRetried) {
   // Calibrate the per-attempt budget from the most expensive clean run so
   // only injected hangs (inflated 200x) can exceed it.
   DseEngine probe(fifo_project(), fifo_dse(0));
-  auto probe_batch = batch_of({192});  // DEPTH=200, the largest design
-  probe.batch_evaluate(probe_batch);
+  (void)probe.evaluate_set({{{"DEPTH", 200}}});  // the largest design
   const double worst_clean_seconds = probe.stats().simulated_tool_seconds;
   ASSERT_GT(worst_clean_seconds, 0.0);
 
@@ -457,11 +452,12 @@ TEST(DseRobustness, PersistentAbortsAreQuarantinedAndNeverRerun) {
   }
   ASSERT_NE(quarantined, nullptr);
   const DseStats before = engine.stats();
-  auto batch = batch_of({quarantined->params.at("DEPTH") - 8});
-  engine.batch_evaluate(batch);
+  const auto again = engine.evaluate_set({quarantined->params});
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_TRUE(again.front().failed);
   const DseStats after = engine.stats();
-  EXPECT_EQ(after.tool_runs, before.tool_runs);
-  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(after.backend_runs, before.backend_runs);
+  EXPECT_DOUBLE_EQ(after.simulated_tool_seconds, before.simulated_tool_seconds);
 }
 
 TEST(DseRobustness, QuarantinedPointsFallBackToApproximateScores) {

@@ -1,8 +1,8 @@
-// Tests for the steady-state (mu+1, bounded-inflight) engine: fixed-seed
-// determinism, equal-budget search quality vs the generational engine,
+// Tests for the steady (mu+1, bounded-inflight) release policy: fixed-seed
+// determinism, equal-budget search quality vs the barrier policy,
 // inflight journal replay on resume, evaluation accounting and the virtual
 // lane clock. The threaded stress tests run under -fsanitize=thread (the
-// `tsan` preset, see DESIGN.md "Steady-state engine").
+// `tsan` preset, see DESIGN.md "One loop, two release policies").
 #include "src/core/dse.hpp"
 
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ TEST(SteadyState, EvaluationsCountGenuineScoresAtEqualBudget) {
       config.ga.population_size * (config.ga.max_generations + 1);
   EXPECT_EQ(result.stats.steady_completions, budget);
   EXPECT_EQ(result.stats.ga_evaluations, budget);
-  EXPECT_EQ(result.stats.generations, config.ga.max_generations + 1);
+  EXPECT_EQ(result.stats.generations, config.ga.max_generations);
   // Genuine scores: tool runs (incl. failures), cache hits, joins. No
   // screening/approximation here, so they account for every completion.
   EXPECT_EQ(result.stats.tool_runs + result.stats.cache_hits +
@@ -102,6 +102,20 @@ TEST(SteadyState, EvaluationsCountGenuineScoresAtEqualBudget) {
             budget);
   EXPECT_EQ(result.stats.failures, 0u);
   EXPECT_FALSE(result.pareto.empty());
+}
+
+TEST(SteadyState, BothPoliciesCountSurvivalRoundsAfterTheInitialPopulation) {
+  // At equal budget and with no deadline, the barrier and the steady
+  // policy both report max_generations: the initial population is not a
+  // survival round.
+  for (const bool steady : {false, true}) {
+    DseConfig config = steady_dse(0);
+    config.steady_state = steady;
+    DseEngine engine(fifo_project(), config);
+    const DseResult result = engine.run();
+    EXPECT_EQ(result.stats.generations, config.ga.max_generations) << "steady=" << steady;
+    EXPECT_FALSE(result.stats.deadline_hit);
+  }
 }
 
 TEST(SteadyState, EqualBudgetHypervolumeNoWorseThanBatchEngine) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "src/opt/baselines.hpp"
 #include "src/opt/indicators.hpp"
@@ -142,60 +144,53 @@ TEST(Nsga2, ShouldStopTerminatesEarly) {
   EXPECT_LE(result.generations_run, 6u);
 }
 
-TEST(Nsga2, BatchEvaluatorUsed) {
+TEST(GenerationalNsga2, TellOrderDoesNotChangeTheTrajectory) {
+  // Nsga2::run tells each generation in ask order; an asynchronous caller
+  // tells in completion order. Slot matching makes both runs identical.
   ConvexProblem problem(32, 32);
   Nsga2Config config = small_config();
-  config.max_generations = 5;
-  std::size_t batches = 0;
-  std::size_t reported = 0;
-  config.batch_evaluate = [&](Problem& p, std::vector<Individual>& inds) -> std::size_t {
-    ++batches;
-    std::size_t completed = 0;
-    for (auto& ind : inds) {
-      if (!ind.evaluated) {
-        ind.objectives = p.evaluate(ind.genome);
-        ++completed;
-      }
-    }
-    reported += completed;
-    return completed;
-  };
-  Nsga2 solver(config);
-  const auto result = solver.run(problem);
-  EXPECT_GE(batches, 6u);  // initial population + one per generation
-  EXPECT_FALSE(result.pareto_front.empty());
-  // The accounting must sum exactly what the evaluator reported back.
-  EXPECT_EQ(result.evaluations, reported);
+  config.max_generations = 6;
+  const Nsga2Result sequential = Nsga2(config).run(problem);
+
+  GenerationalNsga2 ga(config, problem);
+  while (!ga.done()) {
+    std::vector<Genome> generation = ga.ask();
+    std::reverse(generation.begin(), generation.end());
+    for (const Genome& genome : generation) ga.tell(genome, problem.evaluate(genome));
+  }
+  EXPECT_EQ(ga.generations(), sequential.generations_run);
+  ASSERT_EQ(ga.population().size(), sequential.population.size());
+  for (std::size_t i = 0; i < ga.population().size(); ++i) {
+    EXPECT_EQ(ga.population()[i].genome, sequential.population[i].genome);
+  }
 }
 
-TEST(Nsga2, EvaluationsCountOnlyCompletedRuns) {
-  // A batch evaluator that penalty-scores some points without consuming an
-  // evaluation (deadline cuts, fast-fails) must not have them counted.
-  ConvexProblem problem(32, 32);
+TEST(GenerationalNsga2, GenerationIsABarrier) {
+  ConvexProblem problem(16, 16);
   Nsga2Config config = small_config();
-  config.max_generations = 3;
-  std::size_t genuine = 0;
-  config.batch_evaluate = [&](Problem& p, std::vector<Individual>& inds) -> std::size_t {
-    std::size_t completed = 0;
-    std::size_t i = 0;
-    for (auto& ind : inds) {
-      if (ind.evaluated) continue;
-      if (i++ % 3 == 0) {
-        ind.objectives.assign(2, 1e18);  // penalty score, no run consumed
-      } else {
-        ind.objectives = p.evaluate(ind.genome);
-        ++completed;
-      }
-    }
-    genuine += completed;
-    return completed;
-  };
-  Nsga2 solver(config);
-  const auto result = solver.run(problem);
-  EXPECT_EQ(result.evaluations, genuine);
-  // Sanity: penalty-scored points existed, so the naive pre-count would
-  // have been strictly larger.
-  EXPECT_GT(genuine, 0u);
+  config.population_size = 6;
+  config.max_generations = 1;
+  GenerationalNsga2 ga(config, problem);
+  const std::vector<Genome> initial = ga.ask();
+  ASSERT_EQ(initial.size(), 6u);
+  // The next generation is only released once every member is told.
+  EXPECT_THROW((void)ga.ask(), std::logic_error);
+  for (std::size_t i = 0; i + 1 < initial.size(); ++i) {
+    ga.tell(initial[i], problem.evaluate(initial[i]));
+  }
+  EXPECT_TRUE(ga.population().empty());
+  EXPECT_THROW((void)ga.ask(), std::logic_error);
+  ga.tell(initial.back(), problem.evaluate(initial.back()));
+  EXPECT_EQ(ga.population().size(), 6u);
+  EXPECT_EQ(ga.generations(), 0u);
+  // A genome that was never asked (or is already told) has no slot.
+  EXPECT_THROW(ga.tell(initial.front(), {0.0, 0.0}), std::logic_error);
+
+  const std::vector<Genome> offspring = ga.ask();
+  for (const Genome& genome : offspring) ga.tell(genome, problem.evaluate(genome));
+  EXPECT_EQ(ga.generations(), 1u);
+  EXPECT_TRUE(ga.done());
+  EXPECT_THROW((void)ga.ask(), std::logic_error);
 }
 
 TEST(SteadyStateNsga2, AskTellConvergesOnTinySpace) {
