@@ -297,27 +297,6 @@ EvalResult EvaluationBroker::tool_evaluate(const DesignPoint& point, bool probe,
   return result;
 }
 
-std::size_t EvaluationBroker::run_deadline_chunked(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  // The caller participates in parallel_for, so a chunk of twice the lane
-  // count keeps every lane busy while bounding deadline overshoot to one
-  // chunk's worth of tool runs.
-  const std::size_t chunk = 2 * (pool_->worker_count() + 1);
-  const double start_seconds = tool_seconds();
-  std::size_t dispatched = 0;
-  while (dispatched < n) {
-    if (deadline_exceeded()) {
-      mark_deadline_hit();
-      break;
-    }
-    const std::size_t end = std::min(n, dispatched + chunk);
-    pool_->parallel_for(dispatched, end, fn);
-    dispatched = end;
-  }
-  close_batch(start_seconds);
-  return dispatched;
-}
-
 void EvaluationBroker::close_batch(double start_seconds) {
   util::MutexLock lock(stats_mutex_);
   ++batches_;

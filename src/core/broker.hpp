@@ -168,25 +168,18 @@ class EvaluationBroker {
     return replayed_health_events_;
   }
 
-  /// Dispatch fn(i) for i in [0, n) over the pool in chunks, checking the
-  /// tool deadline between chunks; stops dispatching (and flags
-  /// deadline_hit) once the deadline is exceeded. Returns how many
-  /// iterations were dispatched, and accounts per-batch tool seconds.
-  std::size_t run_deadline_chunked(std::size_t n,
-                                   const std::function<void(std::size_t)>& fn);
-
   /// Account one dispatch batch: the tool seconds charged since
   /// `start_seconds` are its cost (BrokerStats::batches and the last/max
   /// batch figures).
   void close_batch(double start_seconds);
 
-  /// Plain parallel dispatch with no deadline check (front verification,
-  /// screening sweeps).
+  /// Plain parallel dispatch with no deadline check; the caller takes part.
+  /// For sweeps outside DseEngine, which dispatches through async().
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Fire-and-forget submission onto the broker's pool (inline when
   /// workers == 0, so inline submission completes before returning). The
-  /// engine's search loop submits every hi-fi evaluation through it;
+  /// engine's dispatcher submits every evaluation through it;
   /// exceptions escaping `fn` are logged, not propagated — the caller
   /// observes failures through the EvalResult it receives.
   void async(std::function<void()> fn);

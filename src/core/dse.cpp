@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -44,6 +45,123 @@ class SpaceProblem final : public opt::Problem {
   const DesignSpace& space_;
   std::size_t n_obj_;
 };
+
+/// The one rule for what a prior answer (session point) is: a tool answer,
+/// neither an estimate nor an approximate score standing in for one.
+bool exact(const ExploredPoint& point) { return !point.estimated && !point.approximate; }
+
+/// The engine's one way to pay a broker: evaluations are submitted onto the
+/// broker's pool (run at submit time when it has no workers) and their
+/// answers popped in (virtual_finish, seq) order. Inline, that pop order
+/// exactly replays the virtual fleet's completion schedule; under real
+/// threads it is the closest deterministic-given-completion-order
+/// approximation. Control-thread only, apart from the pool tasks' publish.
+class Dispatcher {
+ public:
+  /// One submitted evaluation. `result` (or `error`) is written by the
+  /// pool task and read by the caller only after next() handed it out.
+  struct Flight {
+    std::size_t seq = 0;
+    std::size_t slot = 0;  ///< the caller's index (generation slot, batch index)
+    opt::Genome genome;
+    DesignPoint point;
+    EvalResult result;
+    std::exception_ptr error;  ///< what tool_evaluate threw, if anything
+  };
+
+  explicit Dispatcher(EvaluationBroker& broker) : broker_(broker) {}
+  Dispatcher(const Dispatcher&) = delete;
+  Dispatcher& operator=(const Dispatcher&) = delete;
+  /// Pool tasks touch this object until they publish, so let every one
+  /// land (also when the caller is unwinding from an exception).
+  ~Dispatcher() {
+    util::MutexLock lock(mu_);
+    while (ready_.size() != inflight_) cv_.wait(mu_);
+  }
+
+  [[nodiscard]] std::size_t inflight() const { return inflight_; }
+
+  void submit(opt::Genome genome, DesignPoint point, std::size_t slot) {
+    auto flight = std::make_shared<Flight>();
+    flight->seq = seq_++;
+    flight->slot = slot;
+    flight->genome = std::move(genome);
+    flight->point = std::move(point);
+    ++inflight_;
+    broker_.async([this, flight] {
+      try {
+        flight->result = broker_.tool_evaluate(flight->point);
+      } catch (...) {
+        flight->error = std::current_exception();  // rethrown by next()
+      }
+      // Notify while holding the lock: the control thread cannot pop this
+      // completion (and then destroy the dispatcher) until this task has
+      // released the mutex — by which point it no longer touches either.
+      util::MutexLock lock(mu_);
+      ready_.push_back(flight);
+      cv_.notify_one();
+    });
+  }
+
+  /// The earliest virtual finish among the landed answers (sequence number
+  /// breaks ties and orders zero-cost answers); blocks until one lands.
+  /// Rethrows what the evaluation threw, on the caller's thread.
+  [[nodiscard]] Flight next() {
+    util::MutexLock lock(mu_);
+    while (ready_.empty()) cv_.wait(mu_);
+    auto best = ready_.begin();
+    for (auto it = std::next(ready_.begin()); it != ready_.end(); ++it) {
+      if ((*it)->result.virtual_finish < (*best)->result.virtual_finish ||
+          ((*it)->result.virtual_finish == (*best)->result.virtual_finish &&
+           (*it)->seq < (*best)->seq)) {
+        best = it;
+      }
+    }
+    Flight done = std::move(**best);
+    ready_.erase(best);
+    --inflight_;
+    if (done.error) std::rethrow_exception(done.error);
+    return done;
+  }
+
+ private:
+  EvaluationBroker& broker_;
+  util::Mutex mu_{"DseEngine.dispatch"};
+  util::CondVar cv_;
+  std::vector<std::shared_ptr<Flight>> ready_ DOVADO_GUARDED_BY(mu_);
+  std::size_t inflight_ = 0;
+  std::size_t seq_ = 0;
+};
+
+/// Evaluate `points` on `broker` through a Dispatcher: submitted in index
+/// order with at most one per virtual lane in flight. With
+/// `check_deadline` the tool deadline is checked before every submission,
+/// as the search loop does: nothing is submitted after the crossing (the
+/// broker flags the hit), and answers already in flight still land.
+/// Returns the answers by index for the submitted prefix of `points`.
+std::vector<EvalResult> dispatch_batch(EvaluationBroker& broker,
+                                       const std::vector<DesignPoint>& points,
+                                       bool check_deadline) {
+  Dispatcher dispatcher(broker);
+  const std::size_t lanes = std::max<std::size_t>(1, broker.virtual_lane_count());
+  std::vector<EvalResult> answers;
+  answers.reserve(points.size());
+  bool cut = false;
+  while (true) {
+    while (!cut && answers.size() < points.size() && dispatcher.inflight() < lanes) {
+      if (check_deadline && broker.deadline_exceeded()) {
+        broker.mark_deadline_hit();
+        cut = true;
+        break;
+      }
+      dispatcher.submit({}, points[answers.size()], answers.size());
+      answers.emplace_back();
+    }
+    if (dispatcher.inflight() == 0) return answers;
+    Dispatcher::Flight done = dispatcher.next();
+    answers[done.slot] = std::move(done.result);
+  }
+}
 
 }  // namespace
 
@@ -217,29 +335,26 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
     control_ = std::make_unique<model::ControlModel>(config_.control);
   }
 
-  // Warm start: tool-backed points from a previous session pre-populate the
+  // Warm start: exact answers from a previous session pre-populate the
   // shared evaluation cache (and the approximation dataset), so the resumed
   // exploration treats them as already-paid-for tool runs.
   for (const auto& point : config_.warm_start) {
-    if (point.estimated) continue;  // only exact results may seed state
+    if (!exact(point)) continue;
     EvalResult seeded;
     seeded.ok = !point.failed;
     seeded.metrics = point.metrics;
     if (point.failed) seeded.error = "failed in a previous session";
     broker_->seed_cache(point.params, seeded);
-    record(point.params, point.metrics, false, point.failed);
-    if (!control_ || point.failed) continue;
-    if (auto values = objective_values(point.params, point.metrics)) {
-      control_->add_sample(to_model_point(point.params), std::move(*values));
-    }
+    absorb(point.params, point.metrics, !point.failed);
   }
 
   // Crash recovery: the broker seeds its cache from the journal (skipping
-  // warm-started points); the engine mirrors the seeded records into the
-  // explored set and the approximation dataset, and journaled breaker
-  // transitions restore the health state (an open breaker stays open — a
-  // resumed run must not re-pay the failure window of a known outage).
-  absorb_replayed(broker_->replay_journal());
+  // warm-started points); the engine absorbs the seeded records the way
+  // the original run grew its state, so a resumed model-guided exploration
+  // makes the same decisions. Journaled breaker transitions restore the
+  // health state (an open breaker stays open — a resumed run must not
+  // re-pay the failure window of a known outage).
+  for (const auto& rec : broker_->replay_journal()) absorb(rec.params, rec.metrics, rec.ok);
   if (health_) health_->restore(broker_->replayed_health_events());
 }
 
@@ -303,24 +418,9 @@ void DseEngine::run_probe_queue() {
     count_answer(r);
     if (!r.ok) continue;  // breaker handles the re-trip; the point is not recorded
     // A probe success is a paid-for exact answer: record it (superseding
-    // any hedged estimate for the point) and grow the dataset.
-    record(point, r.metrics, false, false);
-    if (control_ && !r.cache_hit && !r.joined) learn(point, r.metrics);
-  }
-}
-
-void DseEngine::absorb_replayed(const std::vector<JournalRecord>& records) {
-  for (const auto& rec : records) {
-    record(rec.params, rec.metrics, false, !rec.ok);
-    // Rebuild the approximation dataset the way the original run grew it,
-    // so a resumed model-guided exploration makes the same decisions.
-    if (!control_ || !rec.ok) continue;
-    auto values = objective_values(rec.params, rec.metrics);
-    if (!values) continue;
-    model::Point coords = to_model_point(rec.params);
-    if (!control_->dataset().find_exact(coords)) {
-      control_->add_sample(std::move(coords), std::move(*values));
-    }
+    // any hedged estimate for the point) and, when fresh, grow the dataset.
+    if (r.cache_hit || r.joined) record(point, r.metrics, false, false);
+    else absorb(point, r.metrics, true);
   }
 }
 
@@ -415,11 +515,15 @@ std::optional<model::Values> DseEngine::objective_values(const DesignPoint& poin
   return values;
 }
 
-void DseEngine::learn(const DesignPoint& point, const EvalMetrics& metrics) {
-  model::Values values;
-  values.reserve(config_.objectives.size());
-  for (const auto& obj : config_.objectives) values.push_back(metrics.get(obj.metric));
-  control_->add_sample(to_model_point(point), std::move(values));
+void DseEngine::absorb(const DesignPoint& point, const EvalMetrics& metrics, bool ok) {
+  record(point, metrics, false, !ok);
+  if (!control_ || !ok) return;
+  auto values = objective_values(point, metrics);
+  if (!values) return;
+  model::Point coords = to_model_point(point);
+  if (!control_->dataset().find_exact(coords)) {
+    control_->add_sample(std::move(coords), std::move(*values));
+  }
 }
 
 EvalMetrics DseEngine::estimate_metrics(const DesignPoint& point) const {
@@ -492,31 +596,20 @@ void DseEngine::pretrain() {
     else ++stale;
   }
 
-  std::vector<DesignPoint> points(chosen.begin(), chosen.end());
-  std::vector<EvalResult> results(points.size());
-  // Chunked dispatch: the deadline is checked between chunks, so a
-  // too-large pretrain batch can no longer blow through the budget before
-  // the first deadline check.
-  const std::size_t dispatched =
-      broker_->run_deadline_chunked(points.size(), [&](std::size_t i) {
-        results[i] = broker_->tool_evaluate(points[i]);
-      });
+  // The deadline is checked before every submission, as in the search.
+  const std::vector<DesignPoint> points(chosen.begin(), chosen.end());
+  const double start_seconds = broker_->tool_seconds();
+  const std::vector<EvalResult> answers = dispatch_batch(*broker_, points, true);
+  broker_->close_batch(start_seconds);
   broker_->lane_barrier();  // pretraining completes before the search starts
 
-  for (std::size_t i = 0; i < dispatched; ++i) {
+  for (std::size_t i = 0; i < answers.size(); ++i) {
     // A fast-failed pretrain sample never ran: it is neither a pretrain
     // run nor a statement about the point.
-    if (results[i].fast_failed) continue;
+    if (answers[i].fast_failed) continue;
     bump(&DseStats::pretrain_runs);
-    if (!results[i].ok) {
-      bump(&DseStats::failures);
-      record(points[i], results[i].metrics, false, true);
-      continue;
-    }
-    if (!control_->dataset().find_exact(to_model_point(points[i]))) {
-      learn(points[i], results[i].metrics);
-    }
-    record(points[i], results[i].metrics, false, false);
+    if (!answers[i].ok) bump(&DseStats::failures);
+    absorb(points[i], answers[i].metrics, answers[i].ok);
   }
 }
 
@@ -543,10 +636,10 @@ std::vector<std::optional<EvalResult>> DseEngine::screen_batch(
     sticky[i] = screen_broker_->cached(unique_points[fresh[i]]) ? 1 : 0;
   }
 
-  std::vector<EvalResult> screens(fresh.size());
-  screen_broker_->parallel_for(fresh.size(), [&](std::size_t i) {
-    screens[i] = screen_broker_->tool_evaluate(unique_points[fresh[i]]);
-  });
+  std::vector<DesignPoint> candidates;
+  candidates.reserve(fresh.size());
+  for (std::size_t ui : fresh) candidates.push_back(unique_points[ui]);
+  std::vector<EvalResult> screens = dispatch_batch(*screen_broker_, candidates, false);
 
   // Rank the successful first-seen screens; failures are always forwarded
   // — the high-fidelity tool has the authoritative verdict on buildability.
@@ -633,42 +726,40 @@ DseEngine::Scored DseEngine::resolve(const DesignPoint& point, const EvalResult&
     return {to_objectives(hedge.metrics), 0.0};
   }
   count_answer(r);
-  if (!r.ok) {
-    // Graceful degradation: a quarantined point (the tool kept failing,
-    // not a property of the design) is scored with an NWM estimate when
-    // the dataset can support one, instead of the penalty that would
-    // punch a hole in the front.
-    if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
-        control_->dataset().size() >= config_.approx_fallback_min_samples) {
-      const EvalMetrics metrics = estimate_metrics(point);
-      bump(&DseStats::approx_fallbacks);
-      record(point, metrics, false, false, /*approximate=*/true);
-      return {to_objectives(metrics), r.tool_seconds};
-    }
-    record(point, r.metrics, false, true);
-    return {failure_penalty(config_.objectives.size()), r.tool_seconds};
+  // Graceful degradation: a quarantined point (the tool kept failing, not
+  // a property of the design) is scored with an NWM estimate when the
+  // dataset can support one, instead of the penalty that would punch a
+  // hole in the front.
+  if (!r.ok && r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
+      control_->dataset().size() >= config_.approx_fallback_min_samples) {
+    const EvalMetrics metrics = estimate_metrics(point);
+    bump(&DseStats::approx_fallbacks);
+    record(point, metrics, false, false, /*approximate=*/true);
+    return {to_objectives(metrics), r.tool_seconds};
   }
-  record(point, r.metrics, false, false);
-  if (control_ && !r.cache_hit && !r.joined) learn(point, r.metrics);
+  // A fresh answer grows the dataset; hits and joins were absorbed when
+  // their leader's answer landed.
+  const bool fresh = !r.cache_hit && !r.joined;
+  if (fresh) absorb(point, r.metrics, r.ok);
+  else record(point, r.metrics, false, !r.ok);
+  if (!r.ok) return {failure_penalty(config_.objectives.size()), r.tool_seconds};
   // Fresh runs bill their tool seconds to the searcher that asked; cache
   // and store hits were already paid for.
-  return {to_objectives(r.metrics), r.cache_hit || r.joined || r.store_hit ? 0.0 : r.tool_seconds};
+  return {to_objectives(r.metrics), fresh && !r.store_hit ? r.tool_seconds : 0.0};
 }
 
 std::vector<ExploredPoint> DseEngine::evaluate_set(const std::vector<DesignPoint>& points) {
-  std::vector<EvalResult> results(points.size());
-  const std::size_t dispatched =
-      broker_->run_deadline_chunked(points.size(), [&](std::size_t i) {
-        results[i] = broker_->tool_evaluate(points[i]);
-      });
+  const double start_seconds = broker_->tool_seconds();
+  const std::vector<EvalResult> results = dispatch_batch(*broker_, points, true);
+  broker_->close_batch(start_seconds);
   broker_->lane_barrier();  // a one-shot batch API: the set closes together
   std::vector<ExploredPoint> out;
   out.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     ExploredPoint ep;
     ep.params = points[i];
-    if (i >= dispatched) {
-      // Cut by the mid-batch deadline: reported as failed, not recorded.
+    if (i >= results.size()) {
+      // Cut by the deadline: reported as failed, not recorded.
       ep.failed = true;
       out.push_back(std::move(ep));
       bump(&DseStats::deadline_skips);
@@ -763,61 +854,7 @@ void DseEngine::search(opt::Problem& problem, const opt::Nsga2Config& ga) {
     return true;
   };
 
-  // One submitted evaluation awaiting its broker answer. `result` is
-  // written by the pool task and read by the control loop only after the
-  // completion is published into `ready` under `mu`.
-  struct Inflight {
-    std::size_t seq = 0;
-    std::size_t slot = 0;  ///< barrier policy: dispatch slot in the generation
-    opt::Genome genome;
-    DesignPoint point;
-    EvalResult result;
-  };
-  util::Mutex mu("DseEngine.search");
-  util::CondVar cv;
-  std::vector<std::shared_ptr<Inflight>> ready;  // guarded by mu (local: not annotatable)
-  std::size_t inflight = 0;
-  std::size_t seq = 0;
-
-  auto submit = [&](opt::Genome genome, DesignPoint point, std::size_t slot) {
-    auto flight = std::make_shared<Inflight>();
-    flight->seq = seq++;
-    flight->slot = slot;
-    flight->genome = std::move(genome);
-    flight->point = std::move(point);
-    ++inflight;
-    broker_->async([this, flight, &mu, &cv, &ready] {
-      flight->result = broker_->tool_evaluate(flight->point);
-      // Notify while holding the lock: the control loop cannot pop this
-      // completion (and then return, destroying mu/cv) until this task has
-      // released the mutex — by which point it no longer touches either.
-      util::MutexLock lock(mu);
-      ready.push_back(flight);
-      cv.notify_one();
-    });
-  };
-
-  // Pop the earliest virtual finish (sequence number breaks ties and
-  // orders zero-cost answers). Inline mode resolves every submission at
-  // submit time, so this pop order exactly replays the virtual fleet's
-  // completion schedule; under real threads it is the closest
-  // deterministic-given-completion-order approximation.
-  auto next_completion = [&] {
-    util::MutexLock lock(mu);
-    while (ready.empty()) cv.wait(mu);
-    auto best = ready.begin();
-    for (auto it = std::next(ready.begin()); it != ready.end(); ++it) {
-      if ((*it)->result.virtual_finish < (*best)->result.virtual_finish ||
-          ((*it)->result.virtual_finish == (*best)->result.virtual_finish &&
-           (*it)->seq < (*best)->seq)) {
-        best = it;
-      }
-    }
-    std::shared_ptr<Inflight> next = *best;
-    ready.erase(best);
-    --inflight;
-    return next;
-  };
+  Dispatcher dispatcher(*broker_);
 
   // ---- Barrier policy ----------------------------------------------------
   // A generation is admitted whole (NWM decisions for every member, then
@@ -927,15 +964,15 @@ void DseEngine::search(opt::Problem& problem, const opt::Nsga2Config& ga) {
         initial_generation = false;
         open_generation();
       }
-      while (!gen.cut && gen.submitted < gen.forward.size() && inflight < lanes) {
+      while (!gen.cut && gen.submitted < gen.forward.size() && dispatcher.inflight() < lanes) {
         if (should_stop()) {
           gen.cut = true;
           break;
         }
-        submit({}, gen.points[gen.forward[gen.submitted]], gen.submitted);
+        dispatcher.submit({}, gen.points[gen.forward[gen.submitted]], gen.submitted);
         ++gen.submitted;
       }
-      if (inflight != 0) return true;
+      if (dispatcher.inflight() != 0) return true;
       close_generation();  // every dispatched answer has landed
     }
   };
@@ -1012,7 +1049,7 @@ void DseEngine::search(opt::Problem& problem, const opt::Nsga2Config& ga) {
     // optimizer attribution routes the replayed answer back to the member
     // that asked for it.
     if (!hifi_cached) broker_->journal_inflight(point, searcher->attributed_to(genome));
-    submit(std::move(genome), std::move(point), 0);
+    dispatcher.submit(std::move(genome), std::move(point), 0);
     return true;
   };
 
@@ -1034,7 +1071,7 @@ void DseEngine::search(opt::Problem& problem, const opt::Nsga2Config& ga) {
 
   // Returns false once submission has stopped for good.
   auto release_steady = [&] {
-    while (!stop_submission && inflight < max_inflight && submitted < budget) {
+    while (!stop_submission && dispatcher.inflight() < max_inflight && submitted < budget) {
       if (should_stop()) {
         stop_submission = true;
         break;
@@ -1059,17 +1096,17 @@ void DseEngine::search(opt::Problem& problem, const opt::Nsga2Config& ga) {
   // ---- The submit/complete loop ------------------------------------------
   while (true) {
     const bool more = barrier ? release_generation() : release_steady();
-    if (inflight == 0) {
+    if (dispatcher.inflight() == 0) {
       if (!more) break;
       continue;  // everything so far resolved synchronously; release more
     }
-    std::shared_ptr<Inflight> done = next_completion();
+    Dispatcher::Flight done = dispatcher.next();
     if (barrier) {
-      gen.answers[done->slot] = std::move(done->result);
+      gen.answers[done.slot] = std::move(done.result);
       continue;
     }
-    const Scored scored = resolve(done->point, done->result);
-    tell(done->genome, scored.objectives, scored.cost_seconds);
+    const Scored scored = resolve(done.point, done.result);
+    tell(done.genome, scored.objectives, scored.cost_seconds);
     ++completed;
     bump(&DseStats::steady_completions);
     // Per-completion probe scheduling: breaker recovery is tested
@@ -1110,7 +1147,7 @@ std::vector<opt::Genome> DseEngine::seed_genomes() {
   };
 
   for (const auto& point : config_.warm_start) {
-    if (!point.estimated && !point.failed) offer(point.params, point.metrics);
+    if (exact(point) && !point.failed) offer(point.params, point.metrics);
   }
   if (!genomes.empty() || !store_ || !config_.store_warm_start) return front();
 
@@ -1168,7 +1205,8 @@ DseResult DseEngine::run() {
   if ((control_ || screen_broker_ || health_) && config_.verify_estimated_front) {
     // Estimated points that made the front — NWM estimates, screened-out
     // survivors and hedged (breaker-degraded) members alike — get an exact
-    // tool evaluation (growing the dataset), then the front is recomputed.
+    // tool evaluation, then the front is recomputed. Verified answers are
+    // recorded but not learned: the search they could steer is over.
     // Correcting an optimistic estimate can let a previously-dominated
     // *estimated* point back into the front, so iterate until the front is
     // fully exact. With an open breaker a whole pass can fast-fail without
@@ -1185,10 +1223,7 @@ DseResult DseEngine::run() {
       if (to_verify.empty()) break;
       // Verification runs even past the deadline: the returned front must
       // be exact (estimated members re-evaluated by the tool, Sec. III-C).
-      std::vector<EvalResult> results(to_verify.size());
-      broker_->parallel_for(to_verify.size(), [&](std::size_t i) {
-        results[i] = broker_->tool_evaluate(to_verify[i]);
-      });
+      const std::vector<EvalResult> results = dispatch_batch(*broker_, to_verify, false);
       std::size_t converted = 0;
       for (std::size_t i = 0; i < to_verify.size(); ++i) {
         if (results[i].fast_failed) {

@@ -100,8 +100,9 @@ struct DseConfig {
   /// submitted after the crossing, and answers already in flight still
   /// land. Generation members left undispatched get the failure penalty
   /// (counted as deadline skips) so the generation can close. Pretraining
-  /// and evaluate_set() check it between dispatch chunks. Infinity =
-  /// unconstrained. Screening runs are not charged against it.
+  /// and evaluate_set() check it the same way, before every submission.
+  /// Front verification ignores it (the returned front must be exact).
+  /// Infinity = unconstrained. Screening runs are not charged against it.
   double deadline_tool_seconds = std::numeric_limits<double>::infinity();
 
   /// Worker threads for parallel tool runs (0 = evaluate inline).
@@ -151,7 +152,9 @@ struct DseConfig {
   /// Warm start: tool-backed points from a previous session (see
   /// core/session.hpp). They pre-populate the evaluation cache — and, when
   /// approximation is on, the synthetic dataset — so resumed explorations
-  /// never repay for known configurations. Estimated points are ignored.
+  /// never repay for known configurations. Estimated and approximate
+  /// points (NWM or screening estimates, fallback and hedge scores) are
+  /// ignored: they are not tool answers.
   std::vector<ExploredPoint> warm_start;
 
   /// Retry/quarantine policy applied to every tool evaluation (see
@@ -365,14 +368,11 @@ class DseEngine {
   /// Raw-parameter-space coordinates of a point (Eq. 4's decision vars).
   [[nodiscard]] model::Point to_model_point(const DesignPoint& point) const;
 
-  /// Approximation-dataset values for a point from another session or
-  /// campaign: nullopt unless it lies inside the current space and reports
-  /// every objective metric.
+  /// Approximation-dataset values for a tool answer: nullopt unless the
+  /// point lies inside the current space and the answer reports every
+  /// objective metric (answers from another session or campaign may not).
   [[nodiscard]] std::optional<model::Values> objective_values(
       const DesignPoint& point, const EvalMetrics& metrics) const;
-
-  /// Grow the approximation dataset with a tool answer.
-  void learn(const DesignPoint& point, const EvalMetrics& metrics);
 
   /// The control model's estimate for a point, as objective metrics.
   [[nodiscard]] EvalMetrics estimate_metrics(const DesignPoint& point) const;
@@ -422,9 +422,12 @@ class DseEngine {
 
   void record(const DesignPoint& point, const EvalMetrics& metrics, bool estimated,
               bool failed, bool approximate = false);
-  /// Mirror journal records the broker replayed into the explored set and
-  /// the approximation dataset; called from the constructor on --resume.
-  void absorb_replayed(const std::vector<JournalRecord>& records);
+
+  /// The one landing path of a fresh or prior exact tool answer (warm
+  /// start, journal replay, pretraining, search, probes): record it and,
+  /// when it succeeded, add it to the approximation dataset unless the
+  /// dataset already holds the point.
+  void absorb(const DesignPoint& point, const EvalMetrics& metrics, bool ok);
 
   /// The low-fidelity broker hedged evaluations run on while the hi-fi
   /// breaker is open: the screening broker when screening is enabled,

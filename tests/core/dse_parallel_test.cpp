@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -275,9 +276,65 @@ TEST(DseParallel, DeadlineEnforcedMidEvaluateSet) {
   const DseStats stats = engine.stats();
   EXPECT_TRUE(stats.deadline_hit);
   EXPECT_GT(stats.deadline_skips, 0u);
+  // The deadline is checked before every submission: only the runs already
+  // in flight when the first answer landed (at most one per lane) were
+  // paid for. evaluate_set() counts runs on the broker, not in tool_runs.
+  const std::size_t tool_runs = engine.broker().stats().fresh_runs;
+  EXPECT_GE(tool_runs, 1u);
+  EXPECT_LE(tool_runs, config.workers + 1);
+  EXPECT_EQ(tool_runs + stats.deadline_skips, 40u);
   std::size_t failed = 0;
   for (const auto& p : out) failed += p.failed ? 1 : 0;
   EXPECT_EQ(failed, stats.deadline_skips);
+}
+
+TEST(DseParallel, DeadlineEnforcedMidPretraining) {
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    DseConfig config = fifo_dse(workers);
+    config.use_approximation = true;
+    config.pretrain_samples = 40;
+    config.verify_estimated_front = false;  // verification ignores the deadline
+    config.deadline_tool_seconds = 1.0;     // the first pretraining run crosses it
+    DseEngine engine(fifo_project(), config);
+    const DseResult result = engine.run();
+
+    const DseStats& stats = result.stats;
+    EXPECT_TRUE(stats.deadline_hit);
+    // Checked before every submission, as in the search loop: inline pays
+    // exactly the run that crossed, threaded at most one run per lane.
+    if (workers == 0) {
+      EXPECT_EQ(stats.pretrain_runs, 1u);
+    } else {
+      EXPECT_GE(stats.pretrain_runs, 1u);
+      EXPECT_LE(stats.pretrain_runs, workers + 1);
+    }
+    // The search submits nothing after the crossing either.
+    EXPECT_EQ(stats.tool_runs, 0u);
+    EXPECT_EQ(engine.broker().stats().fresh_runs, stats.pretrain_runs);
+  }
+}
+
+TEST(DseParallel, ThrowingEvaluationReachesTheCaller) {
+  // An exception thrown by an evaluation (here a user-supplied derived
+  // metric) ends the campaign on the caller's thread, from pretraining and
+  // from the search loop alike, instead of leaving the loop waiting for an
+  // answer that never lands.
+  for (const bool pretrain : {false, true}) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+      SCOPED_TRACE("pretrain=" + std::to_string(pretrain) +
+                   " workers=" + std::to_string(workers));
+      DseConfig config = fifo_dse(workers);
+      config.use_approximation = pretrain;
+      config.pretrain_samples = 10;
+      config.derived_metrics.push_back(
+          {"broken", [](const DesignPoint&, const EvalMetrics&) -> double {
+             throw std::runtime_error("derived metric failed");
+           }});
+      DseEngine engine(fifo_project(), config);
+      EXPECT_THROW((void)engine.run(), std::runtime_error);
+    }
+  }
 }
 
 TEST(DseParallel, FullRunDeterministicAcrossWorkerCounts) {

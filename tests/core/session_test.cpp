@@ -167,6 +167,41 @@ TEST(Session, EstimatedPointsDoNotSeedState) {
   EXPECT_GT(points[0].metrics.get("lut"), 100.0);
 }
 
+TEST(Session, ApproximatePointsDoNotSeedState) {
+  // An NWM fallback score for a quarantined point is approximate but not
+  // estimated. It stands in for a tool answer the campaign never got, so a
+  // resumed campaign must treat the point as unknown.
+  ExploredPoint fallback;
+  fallback.params = {{"DEPTH", 50}};
+  fallback.metrics.values = {{"lut", 1.0}, {"fmax_mhz", 9999.0}};  // dominates everything
+  fallback.approximate = true;
+
+  DseConfig config = fifo_dse();
+  config.use_approximation = true;
+  config.pretrain_samples = 10;
+  config.ga.max_generations = 0;
+  DseConfig resumed = config;
+  resumed.warm_start = {fallback};
+
+  DseEngine engine(fifo_project(), resumed);
+  EXPECT_FALSE(engine.broker().cached(fallback.params).has_value());
+  ASSERT_NE(engine.control_model(), nullptr);
+  EXPECT_EQ(engine.control_model()->dataset().size(), 0u);
+
+  // Not a seed either: the campaign runs exactly as a cold start does, and
+  // the bogus score reaches neither the explored set nor the front.
+  const DseResult result = engine.run();
+  const DseResult cold = DseEngine(fifo_project(), config).run();
+  ASSERT_EQ(result.explored.size(), cold.explored.size());
+  for (std::size_t i = 0; i < result.explored.size(); ++i) {
+    EXPECT_EQ(result.explored[i].params, cold.explored[i].params);
+    EXPECT_EQ(result.explored[i].metrics.values, cold.explored[i].metrics.values);
+  }
+  EXPECT_EQ(result.stats.tool_runs, cold.stats.tool_runs);
+  EXPECT_EQ(result.stats.cache_hits, cold.stats.cache_hits);
+  for (const auto& p : result.explored) EXPECT_NE(p.metrics.get("lut"), 1.0);
+}
+
 TEST(Session, FailedPointsStayFailed) {
   std::vector<ExploredPoint> warm;
   ExploredPoint failed;

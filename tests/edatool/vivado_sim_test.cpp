@@ -132,8 +132,8 @@ report_timing
   bool found_util = false;
   bool found_timing = false;
   for (const auto& chunk : sim.interp().output()) {
-    if (UtilizationReport::parse(chunk)) found_util = true;
-    if (TimingReport::parse(chunk)) found_timing = true;
+    if (UtilizationReport::parse_checked(chunk).report) found_util = true;
+    if (TimingReport::parse_checked(chunk).report) found_timing = true;
   }
   EXPECT_TRUE(found_util);
   EXPECT_TRUE(found_timing);
@@ -291,7 +291,7 @@ TEST(VivadoSim, UramReportedOnlyOnUramParts) {
                   .ok);
   bool has_uram_row = false;
   for (const auto& chunk : sim.interp().output()) {
-    if (auto rep = UtilizationReport::parse(chunk)) {
+    if (auto rep = UtilizationReport::parse_checked(chunk).report) {
       has_uram_row |= (rep->find("URAM") != nullptr);
     }
   }
@@ -305,7 +305,7 @@ TEST(VivadoSim, UramReportedOnlyOnUramParts) {
                   .ok);
   bool vu9p_has_uram = false;
   for (const auto& chunk : sim2.interp().output()) {
-    if (auto rep = UtilizationReport::parse(chunk)) {
+    if (auto rep = UtilizationReport::parse_checked(chunk).report) {
       vu9p_has_uram |= (rep->find("URAM") != nullptr);
     }
   }
